@@ -218,10 +218,11 @@ def advance_columns(states: np.ndarray, kick_coeffs: np.ndarray | None,
     if kick_coeffs is not None:
         t_mid = (np.arange(n_sub) + 0.5) * cfg.dt
         tau = legendre_values(kick_coeffs.shape[1], t_mid)  # (n_sub, P)
-        # forcing per substep: (K, n) columns
-        f_all = np.einsum("sp,npk->skn", tau, kick_coeffs)
+        # (P, K, n): each substep's (K, n) forcing is formed when it is used,
+        # never all n_sub of them at once
+        coeffs = np.ascontiguousarray(np.transpose(kick_coeffs, (1, 2, 0)))
     for i in range(n_sub):
-        f = f_all[i] if kick_coeffs is not None else 0.0
+        f = np.tensordot(tau[i], coeffs, axes=1) if kick_coeffs is not None else 0.0
         u = decay[:, None] * u + gain[:, None] * (f - _advection(u, ops))
         if i % 128 == 0 or i == n_sub - 1:
             mx = float(np.max(np.abs(u)))

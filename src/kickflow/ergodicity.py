@@ -4,20 +4,22 @@ Ensembles are weighted particle sets advanced with per-particle
 counter-based kick streams, so results are independent of sampling order
 and worker count.  The dual-Lipschitz distance is certified from below
 by a dictionary of clamped linear functionals plus exact one-dimensional
-bounded-Lipschitz distances of projected samples (a small LP per
-direction).
+bounded-Lipschitz distances of projected samples.  Each of those is the
+maximum over the sup/Lipschitz budget split of a concave piecewise-linear
+function, evaluated by a slope-tracking dynamic programme and maximised
+by cutting planes, in plain numpy and Python.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse
 
+from ._blas import single_threaded_blas
 from .basis import DomainSpec, eigenvalues, poincare_constant
 from .dynamics import SolverConfig, advance_columns, time_one_map
 from .errors import InsufficientDataError
@@ -39,6 +41,8 @@ __all__ = [
     "absorbing_constants",
     "k_star",
 ]
+
+_BL_MAX_PASSES = 100
 
 
 @dataclass
@@ -105,22 +109,27 @@ def _sample_ensemble_kicks(ens: EmpiricalEnsemble, spec: DomainSpec,
 
 def ensemble_step(ens: EmpiricalEnsemble, spec: DomainSpec, cfg: SolverConfig,
                   noise: NoiseSpec, workers: int = 1) -> EmpiricalEnsemble:
-    """Push the ensemble forward by one kick (one application of P*_1)."""
+    """Push the ensemble forward by one kick (one application of P*_1).
+
+    BLAS runs on one thread while the columns advance; ``workers`` threads,
+    each with its own share of the columns, are the only parallelism.
+    """
     if ens.n_particles == 0:
         return EmpiricalEnsemble(ens.particles, ens.weights, ens.kick_index + 1,
                                  ens.master_seed, ens.particle_ids)
     coeffs = _sample_ensemble_kicks(ens, spec, noise)
     cols = ens.particles.T  # (K, N)
-    if workers <= 1 or ens.n_particles < 2 * workers:
-        new_cols = advance_columns(cols, coeffs, spec, cfg)
-    else:
-        chunks = np.array_split(np.arange(ens.n_particles), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda idx: advance_columns(cols[:, idx], coeffs[idx], spec, cfg),
-                chunks,
-            ))
-        new_cols = np.concatenate(parts, axis=1)
+    with single_threaded_blas():
+        if workers <= 1 or ens.n_particles < 2 * workers:
+            new_cols = advance_columns(cols, coeffs, spec, cfg)
+        else:
+            chunks = np.array_split(np.arange(ens.n_particles), workers)
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                parts = list(pool.map(
+                    lambda idx: advance_columns(cols[:, idx], coeffs[idx], spec, cfg),
+                    chunks,
+                ))
+            new_cols = np.concatenate(parts, axis=1)
     return EmpiricalEnsemble(new_cols.T, ens.weights.copy(), ens.kick_index + 1,
                              ens.master_seed, ens.particle_ids)
 
@@ -172,50 +181,142 @@ def default_test_dictionary(spec: DomainSpec, n_random: int = 4, seed: int = 0,
     return TestDictionary(np.vstack([lead, rand]), clamp_radius)
 
 
+def _cut_outer(side: deque, r: float, dr: float) -> tuple[float, float]:
+    """Cut length r (dr per unit beta) off the outer end of a side of the
+    plateau; returns the length actually cut.  Ties go to beta + 0."""
+    t, dt = r, dr
+    while side:
+        seg = side[0]
+        if seg[1] > t or (seg[1] == t and seg[2] > dt):
+            seg[1] -= t
+            seg[2] -= dt
+            return r, dr
+        side.popleft()
+        t -= seg[1]
+        dt -= seg[2]
+    return r - t, dr - dt
+
+
+def _bl_pass(beta: float, d: list, cum: list, gaps: list) -> tuple[float, float]:
+    """V(beta) and its right derivative dV/dbeta for a fixed budget split.
+
+    V(beta) = max sum_i d_i g_i over |g_i| <= beta and
+    |g_{i+1} - g_i| <= (1 - beta) gaps_i, computed by the concave DP
+    F_i(x) = d_i x + max_{|y - x| <= (1 - beta) gaps_{i-1}} F_{i-1}(y) on
+    [-beta, beta].  F_i is held as its maximising plateau (left end p,
+    length L, value M) and two deques of [stored slope, length, dlength]
+    segments, innermost last.  The actual slope of a segment is its stored
+    slope plus the running prefix sum ``c`` of d, so adding d_i x costs
+    nothing until the plateau moves.  Every length, position and value
+    carries its derivative in beta; ties between lengths are broken as at
+    beta + 0, so the derivative returned is the right derivative.
+    """
+    left: deque = deque()
+    right: deque = deque()
+    p, dp = -beta, -1.0
+    L, dL = 2.0 * beta, 2.0
+    M = dM = 0.0
+    prev = 0.0  # prefix sum of d before the current point
+    for s0, c, h in zip(d, cum, [0.0] + gaps):
+        # dilation by (1 - beta) h: shift each side outwards, cut what
+        # leaves [-beta, beta], and widen the plateau by the cuts
+        cut, dcut = _cut_outer(left, (1.0 - beta) * h, -h)
+        p -= cut
+        dp -= dcut
+        L += cut
+        dL += dcut
+        cut, dcut = _cut_outer(right, (1.0 - beta) * h, -h)
+        L += cut
+        dL += dcut
+        M += s0 * p
+        dM += s0 * dp
+        if s0 > 0.0:
+            if L > 0.0 or dL > 0.0:
+                left.append([-prev, L, dL])
+                p += L
+                dp += dL
+                M += s0 * L
+                dM += s0 * dL
+            L = dL = 0.0
+            while right:
+                seg = right[-1]
+                s = seg[0] + c
+                if s < 0.0:
+                    break
+                right.pop()
+                if s == 0.0:
+                    L, dL = seg[1], seg[2]
+                    break
+                left.append(seg)
+                p += seg[1]
+                dp += seg[2]
+                M += s * seg[1]
+                dM += s * seg[2]
+        elif s0 < 0.0:
+            if L > 0.0 or dL > 0.0:
+                right.append([-prev, L, dL])
+            L = dL = 0.0
+            while left:
+                seg = left[-1]
+                s = seg[0] + c
+                if s > 0.0:
+                    break
+                left.pop()
+                p -= seg[1]
+                dp -= seg[2]
+                if s == 0.0:
+                    L, dL = seg[1], seg[2]
+                    break
+                right.append(seg)
+                M -= s * seg[1]
+                dM -= s * seg[2]
+        prev = c
+    return M, dM
+
+
 def bl_distance_1d(x1: np.ndarray, w1: np.ndarray, x2: np.ndarray,
                    w2: np.ndarray) -> float:
     """Exact bounded-Lipschitz distance of two weighted 1D samples.
 
-    Solves max sum_i d_i g_i subject to |g| <= beta and local Lipschitz
-    bounds (1 - beta) on the pooled sorted support, jointly over the
-    sup/Lipschitz budget split beta.  The constraints are linear, so one
-    LP gives the exact value.
+    The distance is max_beta V(beta), where V(beta) is the best
+    sum_i d_i g_i with |g| <= beta and Lipschitz bound 1 - beta on the
+    sorted pooled support (d = w1 - w2 per point).  V is concave and
+    piecewise linear; each evaluation is an exact DP (``_bl_pass``) that
+    also returns a supergradient, so cutting planes started from the
+    supporting lines at beta = 0 and beta = 1 reach the maximum in a few
+    passes.
     """
-    z = np.concatenate([x1, x2])
-    d = np.concatenate([w1, -w2])
-    order = np.argsort(z, kind="stable")
-    z, d = z[order], d[order]
-    # merge duplicates to keep the LP small and well-posed
-    uz, inv = np.unique(z, return_inverse=True)
-    ud = np.zeros_like(uz)
-    np.add.at(ud, inv, d)
-    n = uz.shape[0]
-    if n < 2:
+    uz, inv = np.unique(np.concatenate([x1, x2]), return_inverse=True)
+    if uz.shape[0] == 0:
         return 0.0
+    # each sample's mass per point first, so that equal samples cancel exactly
+    n1 = len(x1)
+    ud = np.bincount(inv[:n1], w1, uz.shape[0]) - np.bincount(inv[n1:], w2, uz.shape[0])
+    cum = np.cumsum(ud)
     gaps = np.diff(uz)
-    # variables: g_0..g_{n-1}, beta
-    rows, cols, vals, rhs = [], [], [], []
-    r = 0
-    for i in range(n):  # g_i - beta <= 0 ; -g_i - beta <= 0
-        rows += [r, r, r + 1, r + 1]
-        cols += [i, n, i, n]
-        vals += [1.0, -1.0, -1.0, -1.0]
-        rhs += [0.0, 0.0]
-        r += 2
-    for i in range(n - 1):  # +-(g_{i+1} - g_i) + gap*beta <= gap
-        rows += [r, r, r, r + 1, r + 1, r + 1]
-        cols += [i + 1, i, n, i + 1, i, n]
-        vals += [1.0, -1.0, gaps[i], -1.0, 1.0, gaps[i]]
-        rhs += [gaps[i], gaps[i]]
-        r += 2
-    a_ub = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(r, n + 1))
-    c = np.concatenate([-ud, [0.0]])
-    bounds = [(-1.0, 1.0)] * n + [(0.0, 1.0)]
-    res = scipy.optimize.linprog(c, A_ub=a_ub, b_ub=np.array(rhs), bounds=bounds,
-                                 method="highs")
-    if not res.success:
-        raise RuntimeError(f"1D bounded-Lipschitz LP failed: {res.message}")
-    return float(-res.fun)
+    total = abs(float(cum[-1]))
+    # Supporting lines at the ends: V <= |d|_1 beta from |g| <= beta, and
+    # V <= |sum d| beta + (1 - beta) W1 with W1 = sum_i gaps_i |cum_i|, by
+    # summation by parts against g_n.  Both are tight at their end point.
+    a, va, ga = 0.0, 0.0, float(np.abs(ud).sum())
+    b, vb, gb = 1.0, total, total - float(gaps @ np.abs(cum[:-1]))
+    if gb >= 0.0:
+        return total
+    tol = 1e-13 * ga
+    best = total
+    d, cum, gaps = ud.tolist(), cum.tolist(), gaps.tolist()
+    for _ in range(_BL_MAX_PASSES):
+        beta = min(max((vb - va + ga * a - gb * b) / (ga - gb), a), b)
+        upper = va + ga * (beta - a)
+        v, g = _bl_pass(beta, d, cum, gaps)
+        best = max(best, v)
+        if upper - best <= tol or g == 0.0:
+            return best
+        if g > 0.0:
+            a, va, ga = beta, v, g
+        else:
+            b, vb, gb = beta, v, g
+    raise RuntimeError(f"1D bounded-Lipschitz search did not converge in {_BL_MAX_PASSES} passes")
 
 
 def dual_lipschitz_lower(mu1: EmpiricalEnsemble, mu2: EmpiricalEnsemble,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -202,6 +203,9 @@ def _run_couple(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
                            ec.control_q_target)
                 log.info("tuned control: M=%d gamma=%g", ctl.rank, ctl.gamma)
         report = couple(u0, u0p, seed, n_steps, spec, cfg, ctl, ec.noise, traj_id=pair)
+        if len(report.steps) < n_steps:
+            log.info("pair %d coupled to distance < 1e-14 after %d of %d steps",
+                     pair, len(report.steps), n_steps)
         reports.append(report)
         rows.extend(zip([pair] * len(report.steps), report.steps, report.distances,
                         report.qhats, report.phi_norms, report.eps_hats))
@@ -214,7 +218,8 @@ def _run_couple(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
         "gamma": ctl.gamma,
         "delta": delta,
         "pairs": n_pairs,
-        "steps": n_steps,
+        "steps": max(len(r.steps) for r in reports),
+        "steps_requested": n_steps,
     })
 
 
@@ -424,7 +429,19 @@ def checkpoint_save(ens_a: EmpiricalEnsemble, ens_b: EmpiricalEnsemble, path) ->
     text = "\n".join(body) + "\n"
     digest = hashlib.sha256(text.encode()).hexdigest()
     header = f"{CKPT_MAGIC},K={k_dim}\n"
-    Path(path).write_text(header + text + f"HASH {digest}\n")
+    # write beside the target and rename over it, so that a failed write
+    # leaves the previous checkpoint in place
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(header + text + f"HASH {digest}\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def checkpoint_load(path, expect_k: int | None = None):

@@ -1,13 +1,16 @@
 """Config parsing, CLI exit codes, manifests, and checkpoint round-trips."""
 
+import builtins
 import hashlib
 import json
+import logging
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from kickflow import experiments
 from kickflow.config import config_snapshot, load_config, parse_config
 from kickflow.errors import ConfigError
 from kickflow.ergodicity import make_compact
@@ -165,7 +168,64 @@ class TestManifest:
         assert manifest.outputs == data["outputs"]
 
 
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, kickflow.cli; print('scipy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
+class TestCoupleSummary:
+    def test_steps_reports_the_steps_run(self, tmp_path, caplog):
+        """The pair reaches distance 1e-14 after about 27 steps and stops."""
+        ec = parse_config(FAST_LINES + "experiment = couple\ncontrol.M = 55\n"
+                          "control.gamma = 0.1\nout_dir = " + str(tmp_path))
+        with caplog.at_level(logging.INFO, logger="kickflow"):
+            run(ec, {"steps": 40})
+        summary = json.loads((tmp_path / "coupling_summary.json").read_text())
+        rows = (tmp_path / "coupling_steps.csv").read_text().splitlines()[1:]
+        assert summary["steps_requested"] == 40
+        assert summary["steps"] == len(rows) < 40
+        assert "after %d of 40 steps" % len(rows) in caplog.text
+
+
+class _FailingWriter:
+    """A file that takes half of what is written, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+
 class TestCheckpoints:
+    def test_failed_write_keeps_previous_checkpoint(self, spec, tmp_path, monkeypatch):
+        a = make_compact(spec, 1.0, 4, seed=1)
+        b = make_compact(spec, 3.0, 4, seed=1, id_offset=100)
+        path = tmp_path / "ck.txt"
+        checkpoint_save(a, b, path)
+        before = path.read_bytes()
+        monkeypatch.setattr(experiments, "open",
+                            lambda f, mode: _FailingWriter(builtins.open(f, mode)),
+                            raising=False)
+        b.kick_index = 1
+        with pytest.raises(OSError):
+            checkpoint_save(a, b, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+        la, lb = checkpoint_load(path, expect_k=spec.n_modes)
+        assert lb.kick_index == 0
+        assert np.array_equal(la.particles, a.particles)
+
     def test_round_trip_exact(self, spec, tmp_path):
         a = make_compact(spec, 1.0, 5, seed=1)
         b = make_compact(spec, 3.0, 5, seed=1, id_offset=100)
