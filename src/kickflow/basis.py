@@ -146,27 +146,19 @@ def min_grid(spec: DomainSpec) -> tuple[int, int]:
 class GridOperators:
     """Dense synthesis/analysis matrices for one (spec, grid) pair.
 
-    Synthesis matrices map coefficient vectors to point values at the
-    nx * (nyq + 1) collocation nodes; the analysis matrices include the
-    trapezoid quadrature weights, so ``an1 @ u1 + an2 @ u2`` is the exact
-    L2 projection for band-limited data.
+    ``syn6`` maps coefficient vectors to the point values of the six
+    fields u1, u2, u1x, u1y, u2x, u2y at the nx * (nyq + 1) collocation
+    nodes, stacked in that order.  ``ana2`` includes the trapezoid
+    quadrature weights, so ``ana2 @ concat(u1, u2)`` is the exact L2
+    projection for band-limited data.
     """
 
     nx: int
     nyq: int
     x: np.ndarray
     y: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-    u1x: np.ndarray
-    u1y: np.ndarray
-    u2x: np.ndarray
-    u2y: np.ndarray
-    an1: np.ndarray
-    an2: np.ndarray
-    # stacked copies for single-matmul synthesis/analysis in hot loops
-    syn6: np.ndarray  # (6*npts, K): u1,u2,u1x,u1y,u2x,u2y stacked
-    ana2: np.ndarray  # (K, 2*npts): [an1, an2]
+    syn6: np.ndarray  # (6*npts, K)
+    ana2: np.ndarray  # (K, 2*npts)
 
     @property
     def n_points(self) -> int:
@@ -197,12 +189,8 @@ def grid_operators(spec: DomainSpec, nx: int | None = None, nyq: int | None = No
     modes = mode_table(spec)
     K = len(modes)
     npts = nx * (nyq + 1)
-    u1 = np.empty((npts, K))
-    u2 = np.empty((npts, K))
-    u1x = np.empty((npts, K))
-    u1y = np.empty((npts, K))
-    u2x = np.empty((npts, K))
-    u2y = np.empty((npts, K))
+    syn = np.empty((6, npts, K))
+    u1, u2, u1x, u1y, u2x, u2y = syn
     for j, mo in enumerate(modes):
         kx = 2.0 * math.pi * abs(mo.m) / L
         ky = math.pi * mo.n
@@ -225,13 +213,11 @@ def grid_operators(spec: DomainSpec, nx: int | None = None, nyq: int | None = No
         u2x[:, j] = scale * kx * kx * np.outer(ex, sy).ravel()
         u2y[:, j] = -scale * np.outer(dex, ky * cy).ravel()
 
-    an1 = (u1 * w[:, None]).T.copy()
-    an2 = (u2 * w[:, None]).T.copy()
-    syn6 = np.vstack([u1, u2, u1x, u1y, u2x, u2y])
-    ana2 = np.hstack([an1, an2])
-    for a in (u1, u2, u1x, u1y, u2x, u2y, an1, an2, syn6, ana2):
-        a.setflags(write=False)
-    return GridOperators(nx, nyq, x, y, u1, u2, u1x, u1y, u2x, u2y, an1, an2, syn6, ana2)
+    syn6 = syn.reshape(6 * npts, K)
+    ana2 = (syn6[:2 * npts] * np.tile(w, 2)[:, None]).T.copy()
+    syn6.setflags(write=False)
+    ana2.setflags(write=False)
+    return GridOperators(nx, nyq, x, y, syn6, ana2)
 
 
 def synthesize(u: np.ndarray, spec: DomainSpec, nx: int | None = None,
@@ -239,8 +225,8 @@ def synthesize(u: np.ndarray, spec: DomainSpec, nx: int | None = None,
     """Velocity samples (u1, u2) on the (nx, nyq + 1) tensor grid."""
     u = _check_dim(u, spec)
     ops = grid_operators(spec, nx, nyq)
-    shape = (ops.nx, ops.nyq + 1)
-    return (ops.u1 @ u).reshape(shape), (ops.u2 @ u).reshape(shape)
+    u1, u2 = (ops.syn6[:2 * ops.n_points] @ u).reshape(2, ops.nx, ops.nyq + 1)
+    return u1, u2
 
 
 def analyze(u1: np.ndarray, u2: np.ndarray, spec: DomainSpec, nx: int | None = None,
@@ -249,7 +235,7 @@ def analyze(u1: np.ndarray, u2: np.ndarray, spec: DomainSpec, nx: int | None = N
     ops = grid_operators(spec, nx, nyq)
     v1 = np.asarray(u1, dtype=float).reshape(ops.n_points)
     v2 = np.asarray(u2, dtype=float).reshape(ops.n_points)
-    return ops.an1 @ v1 + ops.an2 @ v2
+    return ops.ana2 @ np.concatenate([v1, v2])
 
 
 # ---------------------------------------------------------------------------

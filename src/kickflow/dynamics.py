@@ -16,9 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import DomainSpec, bracket, eigenvalues, grid_operators, poincare_constant
+from .basis import DomainSpec, eigenvalues, grid_operators, poincare_constant
 from .errors import DivergedTrajectoryError
-from .noise import KickPath, legendre_values
+from .noise import KickPath, eval_kick, legendre_values
 from . import basis
 
 __all__ = [
@@ -35,10 +35,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Substep size, grid sizes, and trajectory recording options."""
+    """Substep size, grid sizes, and the divergence threshold."""
 
     dt: float = 1e-3
-    record_substeps: bool = False
     nx: int | None = None
     nyq: int | None = None
     blowup_threshold: float = 1e9
@@ -112,37 +111,16 @@ def step(u: np.ndarray, forcing_value: np.ndarray, spec: DomainSpec,
     return decay * u + gain * (forcing_value - _advection(u, ops))
 
 
-def _midpoint_forcing(eta, spec: DomainSpec, cfg: SolverConfig, n_units: int):
-    """(total_substeps, K) forcing values at substep midpoints, or None."""
-    if eta is None:
-        return None
-    kicks = [eta] if isinstance(eta, KickPath) else list(eta)
-    if len(kicks) != n_units:
-        raise ValueError(f"got {len(kicks)} kicks for a horizon of {n_units} units")
-    n = cfg.n_substeps
-    t_mid = (np.arange(n) + 0.5) * cfg.dt
-    tau = legendre_values(kicks[0].coeffs.shape[0], t_mid)
-    return np.concatenate([tau @ k.coeffs for k in kicks], axis=0)
+def _kick_forcing(kicks: list, t_loc: np.ndarray, n: int) -> np.ndarray:
+    """Kick values at local times t_loc of each unit interval, stacked in time.
 
-
-def _node_forcing(eta, spec: DomainSpec, cfg: SolverConfig, n_units: int):
-    """(total_substeps + 1, K) forcing values at substep nodes (zeros if none).
-
-    The kick path on unit interval j is evaluated on local time [0, 1];
-    interval boundaries take the value of the incoming kick.
+    Each kick contributes its first n rows; the last kick contributes all of
+    its rows.  On the node grid t_loc = (0, dt, ..., 1) an interval boundary
+    therefore takes the value of the kick that starts there, and the final
+    node that of the last kick at t = 1.
     """
-    n = cfg.n_substeps
-    K = (2 * spec.mx + 1) * spec.ny
-    out = np.zeros((n_units * n + 1, K))
-    if eta is None:
-        return out
-    kicks = [eta] if isinstance(eta, KickPath) else list(eta)
-    t_loc = np.arange(n + 1) * cfg.dt
-    tau = legendre_values(kicks[0].coeffs.shape[0], t_loc)
-    for j, k in enumerate(kicks):
-        vals = tau @ k.coeffs
-        out[j * n:(j + 1) * n + 1] = vals
-    return out
+    vals = [eval_kick(k, t_loc) for k in kicks]
+    return np.concatenate([v[:n] for v in vals[:-1]] + vals[-1:], axis=0)
 
 
 def flow(u0: np.ndarray, eta, spec: DomainSpec, cfg: SolverConfig,
@@ -153,8 +131,15 @@ def flow(u0: np.ndarray, eta, spec: DomainSpec, cfg: SolverConfig,
     decay, gain = _factors(spec, cfg.dt)
     n = cfg.n_substeps
     total = n_units * n
-    f_mid = _midpoint_forcing(eta, spec, cfg, n_units)
-    f_node = _node_forcing(eta, spec, cfg, n_units)
+    kicks = [] if eta is None else ([eta] if isinstance(eta, KickPath) else list(eta))
+    if eta is not None and len(kicks) != n_units:
+        raise ValueError(f"got {len(kicks)} kicks for a horizon of {n_units} units")
+    if kicks:
+        f_mid = _kick_forcing(kicks, (np.arange(n) + 0.5) * cfg.dt, n)
+        f_node = _kick_forcing(kicks, np.arange(n + 1) * cfg.dt, n)
+    else:
+        f_mid = np.zeros((total, u0.shape[0]))
+        f_node = np.zeros((total + 1, u0.shape[0]))
 
     alpha = eigenvalues(spec)
     lam1 = poincare_constant(spec)
@@ -162,8 +147,7 @@ def flow(u0: np.ndarray, eta, spec: DomainSpec, cfg: SolverConfig,
     states[0] = u0
     u = u0.copy()
     for i in range(total):
-        f = f_mid[i] if f_mid is not None else 0.0
-        u = decay * u + gain * (f - _advection(u, ops))
+        u = decay * u + gain * (f_mid[i] - _advection(u, ops))
         states[i + 1] = u
         if i % 64 == 0 or i == total - 1:
             nrm = math.sqrt(float(u @ u))
@@ -175,7 +159,6 @@ def flow(u0: np.ndarray, eta, spec: DomainSpec, cfg: SolverConfig,
     norm_h_sq = sq.sum(axis=1)
     bracket_sq = (sq * (alpha - 0.5 * lam1)[None, :]).sum(axis=1)
     forcing_inner = (f_node * states).sum(axis=1)
-    kicks = [] if eta is None else ([eta] if isinstance(eta, KickPath) else list(eta))
     return Trajectory(times, states, norm_h_sq, bracket_sq, forcing_inner, spec, cfg, kicks)
 
 

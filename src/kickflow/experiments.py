@@ -12,7 +12,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +51,11 @@ __all__ = ["RunManifest", "run", "checkpoint_save", "checkpoint_load"]
 log = logging.getLogger("kickflow")
 
 CKPT_MAGIC = "KICKFLOW-CKPT v1"
+
+# noise-check: kicks checked against the support bound, and draws for the
+# P_M/Q_M correlation
+SUPPORT_DRAWS = 1000
+CORR_DRAWS = 100_000
 
 
 @dataclass
@@ -153,7 +158,7 @@ def _run_linearize(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
         eta = sample_kick(ec.noise, spec, kick_rng(int(kick_text.split(":", 1)[1]), 0, 0))
     else:
         eta = load_kick(kick_text)
-    base = flow(u0, eta, spec, replace(cfg, record_substeps=True))
+    base = flow(u0, eta, spec, cfg)
     ops = linearize_kick(base, spec, cfg, ec.noise)
     sig = compactness_diagnostic(ops)
     em.write_csv("psi1_diagonal.csv", "index,psi1", list(enumerate(ops.psi1)))
@@ -197,7 +202,7 @@ def _run_couple(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
                                     ec.control_q_target)
             else:
                 base = flow(u0, sample_kick(ec.noise, spec, kick_rng(seed, pair, 0)),
-                            spec, replace(cfg, record_substeps=True))
+                            spec, cfg)
                 ops = linearize_kick(base, spec, cfg, ec.noise)
                 ctl = tune(ops, ec.control_epsilon_target, ec.noise, spec, delta,
                            ec.control_q_target)
@@ -259,7 +264,6 @@ def _run_mix(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
     lam = eigenvalues(spec)
     lam_cut = float(np.median(lam))
     rows = []
-    hist_a, hist_b = [ens_a], [ens_b]
     floors = []
     for k in range(start_k, n_kicks + 1):
         dist = dual_lipschitz_lower(ens_a, ens_b, dic)
@@ -272,8 +276,6 @@ def _run_mix(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
         if k < n_kicks:
             ens_a = ensemble_step(ens_a, spec, cfg, noise, workers=workers)
             ens_b = ensemble_step(ens_b, spec, cfg, noise, workers=workers)
-            hist_a.append(ens_a)
-            hist_b.append(ens_b)
             ckpt = opts.get("checkpoint")
             if ckpt:
                 checkpoint_save(ens_a, ens_b, ckpt)
@@ -321,10 +323,9 @@ def _run_noise_check(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
     se_var = float(m2.std() / np.sqrt(n_draws))
 
     b = amplitudes(noise, spec)
-    n_kicks_check = opts.get("support_draws", 1000)
     support_ok = True
     max_ratio = 0.0
-    for k in range(n_kicks_check):
+    for k in range(SUPPORT_DRAWS):
         eta = sample_kick(noise, spec, kick_rng(seed, 0, k))
         ratio = float(np.max(np.abs(eta.coeffs) / b))
         max_ratio = max(max_ratio, ratio)
@@ -334,13 +335,12 @@ def _run_noise_check(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
     # correlation between leading P_M coordinate and leading Q_M coordinate
     order = pm_order(noise, spec)
     m_half = order.shape[0] // 2
-    n_corr = opts.get("corr_draws", 100_000)
     a_idx, b_idx = order[0], order[m_half]
-    draws_a = np.empty(n_corr)
-    draws_b = np.empty(n_corr)
+    draws_a = np.empty(CORR_DRAWS)
+    draws_b = np.empty(CORR_DRAWS)
     flat_shape = b.size
-    for i in range(0, n_corr, 10_000):
-        j = min(i + 10_000, n_corr)
+    for i in range(0, CORR_DRAWS, 10_000):
+        j = min(i + 10_000, CORR_DRAWS)
         block_rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(entropy=seed, spawn_key=(0xCC, i))))
         block = sample_xi(block_rng, (j - i, flat_shape))
@@ -360,7 +360,7 @@ def _run_noise_check(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
         "e_radius": e_radius,
         "vprime_sup": vp_sup,
         "pm_qm_correlation": corr,
-        "pm_qm_corr_se": 1.0 / float(np.sqrt(n_corr)),
+        "pm_qm_corr_se": 1.0 / float(np.sqrt(CORR_DRAWS)),
     })
 
 

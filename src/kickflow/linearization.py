@@ -14,15 +14,11 @@ import numpy as np
 
 from .basis import DomainSpec, eigenvalues, grid_operators
 from .dynamics import SolverConfig, Trajectory, _factors
-from .noise import KickPath, NoiseSpec, legendre_values
+from .noise import NoiseSpec, legendre_values
 
 __all__ = [
     "TangentOperators",
     "bilinear_q",
-    "tangent_apply",
-    "psi_split",
-    "forcing_derivative_apply",
-    "assemble_gram",
     "linearize_kick",
     "gram_limit_check",
     "compactness_diagnostic",
@@ -30,28 +26,22 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TangentOperators:
     """Dense operators assembled along one base trajectory.
 
     psi1 holds the diagonal of the Stokes semigroup factor; psi2 the
     compact remainder; a_matrix the forcing derivative on the noise basis
-    (columns in p-major flat order); gram = a_matrix @ a_matrix.T with a
-    cached eigendecomposition.
+    (columns in p-major flat order); gram = a_matrix @ a_matrix.T with its
+    eigendecomposition.
     """
 
-    psi1: np.ndarray | None = None
-    psi2: np.ndarray | None = None
-    a_matrix: np.ndarray | None = None
-    gram: np.ndarray | None = None
-    gram_eigvals: np.ndarray | None = None
-    gram_eigvecs: np.ndarray | None = None
-    base: Trajectory | None = None
-
-
-def _require_substeps(base: Trajectory) -> None:
-    if base.states is None or base.states.shape[0] < 2:
-        raise ValueError("base trajectory lacks substep states")
+    psi1: np.ndarray
+    psi2: np.ndarray
+    a_matrix: np.ndarray
+    gram: np.ndarray
+    gram_eigvals: np.ndarray
+    gram_eigvecs: np.ndarray
 
 
 def bilinear_q(a: np.ndarray, bvec: np.ndarray, spec: DomainSpec,
@@ -86,88 +76,53 @@ def _q_on_grid(af, bvec, ops):
     return ops.ana2 @ np.concatenate([c1, c2], axis=0)
 
 
-def tangent_apply(base: Trajectory, w0: np.ndarray, spec: DomainSpec,
-                  cfg: SolverConfig) -> np.ndarray:
-    """Propagate w0 (vector or column stack) through the linearised flow."""
-    _require_substeps(base)
+def _propagate(base: Trajectory, w0: np.ndarray, source: np.ndarray,
+               spec: DomainSpec, cfg: SolverConfig) -> np.ndarray:
+    """Advance the (K, m) stack w0 through the flow linearised along ``base``.
+
+    ``source`` holds tau_p(t) at the substep midpoints, shape (n_substeps, P).
+    The last P*K columns are driven by the noise basis elements tau_p e_k in
+    p-major order, so they carry D_eta S; the columns before them see no
+    source and carry D_u S applied to their start values.
+    """
     ops = grid_operators(spec, cfg.nx, cfg.nyq)
     decay, gain = _factors(spec, cfg.dt)
+    K = spec.n_modes
+    n_src = source.shape[1] * K
+    rows = np.arange(K)
+    cols = w0.shape[1] - n_src + np.arange(n_src).reshape(-1, K)  # (P, K)
     w = np.array(w0, dtype=float)
-    dcol = decay[:, None] if w.ndim == 2 else decay
-    gcol = gain[:, None] if w.ndim == 2 else gain
     for i in range(base.states.shape[0] - 1):
         af = _grid_fields(base.states[i], ops)
-        w = dcol * w - gcol * _q_on_grid(af, w, ops)
+        w = decay[:, None] * w - gain[:, None] * _q_on_grid(af, w, ops)
+        w[rows, cols] += gain * source[i][:, None]
     return w
-
-
-def psi_split(base: Trajectory, spec: DomainSpec, cfg: SolverConfig,
-              ops: TangentOperators | None = None) -> TangentOperators:
-    """Fill psi1 (diagonal semigroup) and psi2 = D_u S - diag(psi1)."""
-    out = ops or TangentOperators()
-    K = spec.n_modes
-    horizon = (base.states.shape[0] - 1) * cfg.dt
-    lam = spec.viscosity * eigenvalues(spec) + spec.damping
-    out.psi1 = np.exp(-lam * horizon)
-    jac = tangent_apply(base, np.eye(K), spec, cfg)
-    out.psi2 = jac - np.diag(out.psi1)
-    out.base = base
-    return out
-
-
-def forcing_derivative_apply(base: Trajectory, zeta: KickPath, spec: DomainSpec,
-                             cfg: SolverConfig) -> np.ndarray:
-    """D_eta S applied to one kick direction: linearised solve with source."""
-    _require_substeps(base)
-    ops = grid_operators(spec, cfg.nx, cfg.nyq)
-    decay, gain = _factors(spec, cfg.dt)
-    n = base.states.shape[0] - 1
-    t_mid = (np.arange(n) + 0.5) * cfg.dt
-    src = legendre_values(zeta.coeffs.shape[0], t_mid % 1.0) @ zeta.coeffs
-    w = np.zeros(spec.n_modes)
-    for i in range(n):
-        af = _grid_fields(base.states[i], ops)
-        w = decay * w + gain * (src[i] - _q_on_grid(af, w, ops))
-    return w
-
-
-def assemble_gram(base: Trajectory, spec: DomainSpec, cfg: SolverConfig,
-                  noise: NoiseSpec, ops: TangentOperators | None = None) -> TangentOperators:
-    """Fill a_matrix (columns = noise basis elements) and gram = A A^T."""
-    _require_substeps(base)
-    gops = grid_operators(spec, cfg.nx, cfg.nyq)
-    decay, gain = _factors(spec, cfg.dt)
-    K = spec.n_modes
-    P = noise.p_order
-    n = base.states.shape[0] - 1
-    t_mid = (np.arange(n) + 0.5) * cfg.dt
-    tau = legendre_values(P, t_mid % 1.0)  # (n, P)
-    rows = np.arange(K)
-    z = np.zeros((K, P * K))
-    for i in range(n):
-        af = _grid_fields(base.states[i], gops)
-        z = decay[:, None] * z - gain[:, None] * _q_on_grid(af, z, gops)
-        for p in range(P):
-            z[rows, p * K + rows] += gain * tau[i, p]
-    out = ops or TangentOperators()
-    out.a_matrix = z
-    out.gram = z @ z.T
-    out.gram_eigvals, out.gram_eigvecs = np.linalg.eigh(out.gram)
-    out.base = base
-    return out
 
 
 def linearize_kick(base: Trajectory, spec: DomainSpec, cfg: SolverConfig,
                    noise: NoiseSpec) -> TangentOperators:
-    """Assemble the full operator bundle (psi1, psi2, A, G) for one kick."""
-    ops = psi_split(base, spec, cfg)
-    return assemble_gram(base, spec, cfg, noise, ops=ops)
+    """Assemble the full operator bundle (psi1, psi2, A, G) for one kick.
+
+    One linearised solve advances [I_K | 0]: its first K columns are the
+    Jacobian D_u S, split as diag(psi1) + psi2, and the other P*K are A.
+    """
+    if base.states is None or base.states.shape[0] < 2:
+        raise ValueError("base trajectory lacks substep states")
+    K = spec.n_modes
+    n = base.states.shape[0] - 1
+    t_mid = (np.arange(n) + 0.5) * cfg.dt
+    w0 = np.hstack([np.eye(K), np.zeros((K, noise.p_order * K))])
+    w = _propagate(base, w0, legendre_values(noise.p_order, t_mid % 1.0), spec, cfg)
+    lam = spec.viscosity * eigenvalues(spec) + spec.damping
+    psi1 = np.exp(-lam * (n * cfg.dt))
+    a_matrix = w[:, K:]
+    gram = a_matrix @ a_matrix.T
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    return TangentOperators(psi1, w[:, :K] - np.diag(psi1), a_matrix, gram, eigvals, eigvecs)
 
 
 def gram_limit_check(ops: TangentOperators, f: np.ndarray, gammas) -> np.ndarray:
     """Relative residuals ||G (G + gamma I)^-1 f - f|| / ||f|| per gamma."""
-    if ops.gram_eigvals is None:
-        raise ValueError("gram not assembled")
     f = np.asarray(f, dtype=float)
     nf = np.linalg.norm(f)
     if nf == 0:
@@ -182,8 +137,6 @@ def gram_limit_check(ops: TangentOperators, f: np.ndarray, gammas) -> np.ndarray
 
 def compactness_diagnostic(ops: TangentOperators) -> np.ndarray:
     """Singular values of psi2, descending."""
-    if ops.psi2 is None:
-        raise ValueError("psi2 not assembled")
     return np.linalg.svd(ops.psi2, compute_uv=False)
 
 

@@ -17,7 +17,7 @@ from kickflow.ergodicity import absorbing_constants, default_test_dictionary, \
     dual_lipschitz_lower, ensemble_step, k_star, krylov_average, make_compact, \
     mc_floor, mixing_fit, EmpiricalEnsemble
 from kickflow.linearization import compactness_diagnostic, gram_limit_check, \
-    linearize_kick, psi_split, tangent_apply
+    linearize_kick
 from kickflow.noise import KickPath, NoiseSpec, amplitudes, kick_rng, pm_order, \
     sample_kick, sample_xi
 from kickflow.stabilisation import couple, epsilon_check, tune
@@ -149,7 +149,7 @@ class TestAcceptance:
         cf = np.zeros((NOISE.p_order, fine.n_modes))
         cf[:, idx] = base.forcing[0].coeffs
         base_f = flow(u0f, KickPath(cf), fine, CFG)
-        sig7 = compactness_diagnostic(psi_split(base_f, fine, CFG))
+        sig7 = compactness_diagnostic(linearize_kick(base_f, fine, CFG, NOISE))
         change = float(np.abs(sig7[:10] - sig5[:10]).max() / sig5[:10].min())
         rel = float((np.abs(sig7[:10] - sig5[:10]) / sig5[:10]).max())
         _report(5, rel <= 0.05 and ratio <= 0.1,

@@ -112,7 +112,7 @@ class TestGridTransforms:
 
     def test_orthonormality(self, spec):
         ops = grid_operators(spec)
-        gram = ops.an1 @ ops.u1 + ops.an2 @ ops.u2
+        gram = ops.ana2 @ ops.syn6[:2 * ops.n_points]
         assert np.abs(gram - np.eye(spec.n_modes)).max() < 1e-13
 
     def test_round_trip(self, spec, rng):

@@ -4,19 +4,16 @@ import numpy as np
 import pytest
 
 from kickflow.basis import eigenvalues, poincare_constant
-from kickflow.dynamics import SolverConfig, flow, time_one_map
+from kickflow.dynamics import _factors, flow, time_one_map
 from kickflow.linearization import (
-    assemble_gram,
+    _propagate,
     bilinear_q,
     compactness_diagnostic,
-    forcing_derivative_apply,
     gram_limit_check,
     linearize_kick,
-    psi_split,
     tail_index,
-    tangent_apply,
 )
-from kickflow.noise import KickPath, kick_rng, sample_kick
+from kickflow.noise import KickPath, kick_rng, legendre_values, sample_kick
 
 
 @pytest.fixture
@@ -33,6 +30,33 @@ def base(spec, fast_cfg, noise):
 @pytest.fixture
 def ops(base, spec, fast_cfg, noise):
     return linearize_kick(base, spec, fast_cfg, noise)
+
+
+def _reference_operators(base, spec, cfg, noise):
+    """(psi1, psi2, A) with every column of [I_K | 0] propagated alone.
+
+    Each substep is the exponential-Euler tangent step written out with the
+    public bilinear form; a noise direction tau_p e_k enters as the forcing.
+    """
+    decay, gain = _factors(spec, cfg.dt)
+    K, P = spec.n_modes, noise.p_order
+    n = base.states.shape[0] - 1
+    tau = legendre_values(P, (np.arange(n) + 0.5) * cfg.dt)
+    cols = []
+    for j in range(K + P * K):
+        w = np.zeros(K)
+        src = np.zeros((n, K))
+        if j < K:
+            w[j] = 1.0
+        else:
+            p, k = divmod(j - K, K)
+            src[:, k] = tau[:, p]
+        for i in range(n):
+            w = decay * w + gain * (src[i] - bilinear_q(base.states[i], w, spec, cfg))
+        cols.append(w)
+    jac = np.stack(cols, axis=1)
+    psi1 = decay ** n
+    return psi1, jac[:, :K] - np.diag(psi1), jac[:, K:]
 
 
 class TestBilinearForm:
@@ -59,7 +83,7 @@ class TestBilinearForm:
 
 
 class TestTangentMap:
-    def test_finite_difference_match(self, base, spec, fast_cfg, rng):
+    def test_finite_difference_match(self, base, ops, spec, fast_cfg, rng):
         w = rng.standard_normal(spec.n_modes)
         w /= np.linalg.norm(w)
         eps = 1e-6
@@ -67,48 +91,39 @@ class TestTangentMap:
         plus = time_one_map(base.states[0] + eps * w, eta, spec, fast_cfg)
         minus = time_one_map(base.states[0] - eps * w, eta, spec, fast_cfg)
         fd = (plus - minus) / (2 * eps)
-        lin = tangent_apply(base, w, spec, fast_cfg)
+        lin = (np.diag(ops.psi1) + ops.psi2) @ w
         assert np.linalg.norm(lin - fd) < 1e-7
 
-    def test_linearity(self, base, spec, fast_cfg, rng):
-        w1 = rng.standard_normal(spec.n_modes)
-        w2 = rng.standard_normal(spec.n_modes)
-        combo = tangent_apply(base, 2.0 * w1 - w2, spec, fast_cfg)
-        parts = 2.0 * tangent_apply(base, w1, spec, fast_cfg) \
-            - tangent_apply(base, w2, spec, fast_cfg)
-        assert np.allclose(combo, parts, rtol=1e-11, atol=1e-13)
-
-    def test_matrix_columns_match_vectors(self, base, spec, fast_cfg):
-        jac = tangent_apply(base, np.eye(spec.n_modes), spec, fast_cfg)
-        for j in [0, 17, 54]:
-            e = np.zeros(spec.n_modes)
-            e[j] = 1.0
-            assert np.abs(jac[:, j] - tangent_apply(base, e, spec, fast_cfg)).max() < 1e-13
-
-    def test_requires_recorded_substeps(self, spec, fast_cfg):
+    def test_requires_recorded_substeps(self, spec, fast_cfg, noise):
         from kickflow.dynamics import Trajectory
 
         broken = Trajectory(np.zeros(1), np.zeros((1, spec.n_modes)), None, None,
                             None, spec, fast_cfg)
         with pytest.raises(ValueError):
-            tangent_apply(broken, np.zeros(spec.n_modes), spec, fast_cfg)
+            linearize_kick(broken, spec, fast_cfg, noise)
+
+    def test_matches_column_by_column_reference(self, base, ops, spec, fast_cfg, noise):
+        """The one batched solve against each column propagated on its own."""
+        psi1, psi2, a_matrix = _reference_operators(base, spec, fast_cfg, noise)
+        assert np.abs(ops.psi1 - psi1).max() <= 1e-12
+        assert np.abs(ops.psi2 - psi2).max() <= 1e-12
+        assert np.abs(ops.a_matrix - a_matrix).max() <= 1e-12
 
 
 class TestPsiSplit:
-    def test_psi1_is_stokes_semigroup(self, base, spec, fast_cfg):
-        out = psi_split(base, spec, fast_cfg)
+    def test_psi1_is_stokes_semigroup(self, ops, spec):
         expected = np.exp(-spec.viscosity * eigenvalues(spec))
-        assert np.abs(out.psi1 - expected).max() < 1e-14
+        assert np.abs(ops.psi1 - expected).max() < 1e-14
 
-    def test_split_reassembles_jacobian(self, base, spec, fast_cfg):
-        out = psi_split(base, spec, fast_cfg)
-        jac = tangent_apply(base, np.eye(spec.n_modes), spec, fast_cfg)
-        assert np.abs(np.diag(out.psi1) + out.psi2 - jac).max() < 1e-14
+    def test_split_reassembles_jacobian(self, base, ops, spec, fast_cfg):
+        """The kick columns of the joint solve leave the Jacobian columns alone."""
+        no_source = np.zeros((base.states.shape[0] - 1, 0))
+        jac = _propagate(base, np.eye(spec.n_modes), no_source, spec, fast_cfg)
+        assert np.abs(np.diag(ops.psi1) + ops.psi2 - jac).max() < 1e-14
 
-    def test_psi1_below_contraction_threshold(self, base, spec, fast_cfg):
-        out = psi_split(base, spec, fast_cfg)
+    def test_psi1_below_contraction_threshold(self, ops, spec):
         kappa = np.exp(-spec.viscosity * poincare_constant(spec) / 2)
-        assert out.psi1.max() < kappa
+        assert ops.psi1.max() < kappa
 
     def test_psi2_singular_value_decay(self, ops):
         sig = compactness_diagnostic(ops)
@@ -123,7 +138,7 @@ class TestPsiSplit:
 
 
 class TestForcingDerivative:
-    def test_finite_difference_match(self, base, spec, fast_cfg, noise, rng):
+    def test_finite_difference_match(self, base, ops, spec, fast_cfg, rng):
         eta = base.forcing[0]
         zeta = KickPath(rng.standard_normal(eta.coeffs.shape))
         zeta = KickPath(zeta.coeffs / np.linalg.norm(zeta.coeffs))
@@ -133,17 +148,8 @@ class TestForcingDerivative:
         minus = time_one_map(base.states[0], KickPath(eta.coeffs - eps * zeta.coeffs),
                              spec, fast_cfg)
         fd = (plus - minus) / (2 * eps)
-        lin = forcing_derivative_apply(base, zeta, spec, fast_cfg)
+        lin = ops.a_matrix @ zeta.coeffs.ravel()
         assert np.linalg.norm(lin - fd) < 1e-7
-
-    def test_a_matrix_columns(self, base, ops, spec, fast_cfg, noise):
-        """Columns of A are the derivative applied to noise basis elements."""
-        P, K = noise.p_order, spec.n_modes
-        for flat in [0, K + 3, P * K - 1]:
-            coeffs = np.zeros((P, K))
-            coeffs[flat // K, flat % K] = 1.0
-            col = forcing_derivative_apply(base, KickPath(coeffs), spec, fast_cfg)
-            assert np.abs(ops.a_matrix[:, flat] - col).max() < 1e-12
 
 
 class TestGramian:
@@ -172,5 +178,5 @@ class TestGramian:
         assert np.all(np.diff(res) <= 1e-12)
 
     def test_assemble_idempotent_given_base(self, base, spec, fast_cfg, noise, ops):
-        again = assemble_gram(base, spec, fast_cfg, noise)
+        again = linearize_kick(base, spec, fast_cfg, noise)
         assert np.array_equal(again.a_matrix, ops.a_matrix)
