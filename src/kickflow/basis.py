@@ -146,18 +146,27 @@ def min_grid(spec: DomainSpec) -> tuple[int, int]:
 class GridOperators:
     """Dense synthesis/analysis matrices for one (spec, grid) pair.
 
-    ``syn6`` maps coefficient vectors to the point values of the six
-    fields u1, u2, u1x, u1y, u2x, u2y at the nx * (nyq + 1) collocation
-    nodes, stacked in that order.  ``ana2`` includes the trapezoid
-    quadrature weights, so ``ana2 @ concat(u1, u2)`` is the exact L2
-    projection for band-limited data.
+    Every eigenfield is e_k = grad-perp psi_k = (d_y psi_k, -d_x psi_k), and
+    its vorticity is omega_k = alpha_k psi_k.  ``syn4`` maps coefficient
+    vectors to the point values of u1, u2, omega_x and omega_y at the
+    nx * (nyq + 1) collocation nodes, stacked in that order.  ``ana1``
+    holds the stream functions psi_k times the trapezoid weights, so
+    ``ana1 @ f`` is <f, psi_k> for every k.  Integrating by parts (x is
+    periodic, psi_k vanishes on the walls) gives <g, e_k> = <curl g, psi_k>,
+    and curl P(u . grad u) = u . grad omega, so ``ana1 @ (u1*omega_x +
+    u2*omega_y)`` is the projected advection.  The integrand is a product of
+    three band-limited fields, which the dealiased grid integrates exactly,
+    so this equals the velocity form up to rounding.  ``ana2`` is the L2
+    projection of grid velocities, ``ana2 @ concat(u1, u2)``, and serves
+    the public ``analyze`` only.
     """
 
     nx: int
     nyq: int
     x: np.ndarray
     y: np.ndarray
-    syn6: np.ndarray  # (6*npts, K)
+    syn4: np.ndarray  # (4*npts, K)
+    ana1: np.ndarray  # (K, npts)
     ana2: np.ndarray  # (K, 2*npts)
 
     @property
@@ -189,8 +198,9 @@ def grid_operators(spec: DomainSpec, nx: int | None = None, nyq: int | None = No
     modes = mode_table(spec)
     K = len(modes)
     npts = nx * (nyq + 1)
-    syn = np.empty((6, npts, K))
-    u1, u2, u1x, u1y, u2x, u2y = syn
+    syn = np.empty((4, npts, K))
+    u1, u2, wx, wy = syn
+    psi = np.empty((npts, K))
     for j, mo in enumerate(modes):
         kx = 2.0 * math.pi * abs(mo.m) / L
         ky = math.pi * mo.n
@@ -205,19 +215,20 @@ def grid_operators(spec: DomainSpec, nx: int | None = None, nyq: int | None = No
             dex = kx * np.cos(kx * x)
         sy = np.sin(ky * y)
         cy = np.cos(ky * y)
-        # u = (d_y psi, -d_x psi) with psi = scale * ex * sy
+        # u = (d_y psi, -d_x psi) with psi = scale * ex * sy, and
+        # grad omega = alpha grad psi = alpha (-u2, u1)
+        psi[:, j] = scale * np.outer(ex, sy).ravel()
         u1[:, j] = scale * np.outer(ex, ky * cy).ravel()
         u2[:, j] = -scale * np.outer(dex, sy).ravel()
-        u1x[:, j] = scale * np.outer(dex, ky * cy).ravel()
-        u1y[:, j] = -scale * np.outer(ex, ky * ky * sy).ravel()
-        u2x[:, j] = scale * kx * kx * np.outer(ex, sy).ravel()
-        u2y[:, j] = -scale * np.outer(dex, ky * cy).ravel()
+        wx[:, j] = -alpha * u2[:, j]
+        wy[:, j] = alpha * u1[:, j]
 
-    syn6 = syn.reshape(6 * npts, K)
-    ana2 = (syn6[:2 * npts] * np.tile(w, 2)[:, None]).T.copy()
-    syn6.setflags(write=False)
-    ana2.setflags(write=False)
-    return GridOperators(nx, nyq, x, y, syn6, ana2)
+    syn4 = syn.reshape(4 * npts, K)
+    ana1 = (psi * w[:, None]).T.copy()
+    ana2 = (syn4[:2 * npts] * np.tile(w, 2)[:, None]).T.copy()
+    for mat in (syn4, ana1, ana2):
+        mat.setflags(write=False)
+    return GridOperators(nx, nyq, x, y, syn4, ana1, ana2)
 
 
 def synthesize(u: np.ndarray, spec: DomainSpec, nx: int | None = None,
@@ -225,7 +236,7 @@ def synthesize(u: np.ndarray, spec: DomainSpec, nx: int | None = None,
     """Velocity samples (u1, u2) on the (nx, nyq + 1) tensor grid."""
     u = _check_dim(u, spec)
     ops = grid_operators(spec, nx, nyq)
-    u1, u2 = (ops.syn6[:2 * ops.n_points] @ u).reshape(2, ops.nx, ops.nyq + 1)
+    u1, u2 = (ops.syn4[:2 * ops.n_points] @ u).reshape(2, ops.nx, ops.nyq + 1)
     return u1, u2
 
 

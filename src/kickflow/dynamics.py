@@ -82,19 +82,17 @@ def _factors(spec: DomainSpec, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _advection(u, ops):
-    """Basis coefficients of the projected advection term u . grad u.
+    """Basis coefficients of the projected advection term P(u . grad u).
 
-    Accepts a (K,) vector or (K, n) column stack; pure gradient parts are
-    annihilated by the projection onto the divergence-free basis.
+    Accepts a (K,) vector or (K, n) column stack.  In vorticity form,
+    <P(u . grad u), e_k> = <u . grad omega, psi_k>: four synthesised
+    fields and one weighted analysis (see ``GridOperators``).
     """
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise FloatingPointError("non-finite coefficients in advection input")
-    npts = ops.n_points
-    g = (ops.syn6 @ u).reshape((6, npts) + u.shape[1:])
-    f1, f2, f1x, f1y, f2x, f2y = g
-    adv = np.concatenate([f1 * f1x + f2 * f1y, f1 * f2x + f2 * f2y], axis=0)
-    return ops.ana2 @ adv
+    f1, f2, wx, wy = (ops.syn4 @ u).reshape((4, ops.n_points) + u.shape[1:])
+    return ops.ana1 @ (f1 * wx + f2 * wy)
 
 
 def nonlinearity(u: np.ndarray, spec: DomainSpec, cfg: SolverConfig | None = None) -> np.ndarray:

@@ -56,7 +56,9 @@ class EmpiricalEnsemble:
     particle_ids: np.ndarray  # (N,) stream identities
 
     def __post_init__(self):
-        self.particles = np.atleast_2d(np.asarray(self.particles, dtype=float))
+        # one memory layout, so that sums over particles round alike whether
+        # the ensemble was stepped or loaded from a checkpoint
+        self.particles = np.ascontiguousarray(np.atleast_2d(self.particles), dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape[0] != self.particles.shape[0]:
             raise ValueError("weights/particles length mismatch")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -51,6 +52,10 @@ __all__ = ["RunManifest", "run", "checkpoint_save", "checkpoint_load"]
 log = logging.getLogger("kickflow")
 
 CKPT_MAGIC = "KICKFLOW-CKPT v1"
+ROWS_MAGIC = "KICKFLOW-ROWS v1"
+
+# smallest value each count option accepts
+MIN_COUNTS = {"kicks": 0, "steps": 1, "pairs": 1, "particles": 1, "draws": 1, "workers": 1}
 
 # noise-check: kicks checked against the support bound, and draws for the
 # P_M/Q_M correlation
@@ -113,18 +118,60 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _seed_suffix(text: str) -> int:
+    """The nonnegative integer n of an option value 'name:n'."""
+    try:
+        seed = int(text.split(":", 1)[1])
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ConfigError(f"{text!r}: expected a nonnegative integer seed after ':'")
+    return seed
+
+
+def _read_input(loader, path):
+    """Load a file named on the command line; failing to read it is a ConfigError."""
+    try:
+        return loader(path)
+    except (OSError, ValueError, LookupError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
 def _resolve_u0(spec, text: str) -> np.ndarray:
     if text == "zero":
         return np.zeros(spec.n_modes)
     if text.startswith("random:"):
-        seed = int(text.split(":", 1)[1])
+        seed = _seed_suffix(text)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         u = rng.standard_normal(spec.n_modes)
         return u / np.linalg.norm(u)
-    u = load_field(text)
+    u = _read_input(load_field, text)
     if u.shape[0] != spec.n_modes:
         raise ConfigError(f"field file has K={u.shape[0]}, domain needs K={spec.n_modes}")
+    if not np.all(np.isfinite(u)):
+        raise ConfigError(f"field file {text} holds non-finite coefficients")
     return u
+
+
+def _check_options(ec: ExperimentConfig, opts: dict) -> None:
+    """Reject out-of-range counts, seeds and thresholds before any work starts."""
+    for name, low in MIN_COUNTS.items():
+        if opts.get(name, low) < low:
+            raise ConfigError(f"{name} must be >= {low}, got {opts[name]}")
+    if ec.seed < 0 or ec.sampling_seed < 0:
+        raise ConfigError(f"seeds must be nonnegative, got {ec.seed} and {ec.sampling_seed}")
+    delta = opts.get("delta", ec.control_delta)
+    if not 0 < delta < math.inf:
+        raise ConfigError(f"delta must be positive and finite, got {delta}")
+    if not ec.control_epsilon_target > 0:
+        raise ConfigError(f"epsilon_target must be positive, got {ec.control_epsilon_target}")
+    try:
+        # rank and gamma may be left to tuning
+        ControlConfig(1 if ec.control_rank is None else ec.control_rank,
+                      1.0 if ec.control_gamma is None else ec.control_gamma,
+                      delta, ec.control_q_target)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +202,12 @@ def _run_linearize(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
     u0 = _resolve_u0(spec, opts.get("u0", "random:0"))
     kick_text = opts.get("kick", f"seed:{ec.sampling_seed}")
     if kick_text.startswith("seed:"):
-        eta = sample_kick(ec.noise, spec, kick_rng(int(kick_text.split(":", 1)[1]), 0, 0))
+        eta = sample_kick(ec.noise, spec, kick_rng(_seed_suffix(kick_text), 0, 0))
     else:
-        eta = load_kick(kick_text)
+        eta = _read_input(load_kick, kick_text)
+        if eta.coeffs.shape[1] != spec.n_modes:
+            raise ConfigError(f"kick file has K={eta.coeffs.shape[1]}, "
+                              f"domain needs K={spec.n_modes}")
     base = flow(u0, eta, spec, cfg)
     ops = linearize_kick(base, spec, cfg, ec.noise)
     sig = compactness_diagnostic(ops)
@@ -235,7 +285,7 @@ def _load_compact(ec: ExperimentConfig, name: str, n_particles: int,
         return make_compact(spec, 1.0, n_particles, seed, id_offset=id_offset)
     if name == "r3":
         return make_compact(spec, 3.0, n_particles, seed, id_offset=id_offset)
-    pts = np.loadtxt(name, delimiter=",", ndmin=2)
+    pts = _read_input(lambda path: np.loadtxt(path, delimiter=",", ndmin=2), name)
     if pts.shape[1] != spec.n_modes:
         raise ConfigError(f"compact file has K={pts.shape[1]}, domain needs {spec.n_modes}")
     n = pts.shape[0]
@@ -251,24 +301,28 @@ def _run_mix(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
     compact = opts.get("compact", "r3")
     seed = ec.sampling_seed
     resume = opts.get("resume")
+    ckpt = opts.get("checkpoint")
 
     dic = default_test_dictionary(spec)
     if resume:
         ens_a, ens_b = checkpoint_load(resume, expect_k=spec.n_modes)
-        start_k = ens_a.kick_index
+        if ens_a.kick_index > n_kicks:
+            raise ConfigError(f"checkpoint {resume} is at kick {ens_a.kick_index}, "
+                              f"past the requested {n_kicks} kicks")
+        # the rows before the checkpoint, so that the outputs and fits match
+        # the uninterrupted run's
+        rows = _rows_load(resume, ens_a.kick_index)
+        n_particles = ens_a.n_particles
     else:
         ens_a = make_compact(spec, 1.0, n_particles, seed, id_offset=0)
         ens_b = _load_compact(ec, compact, n_particles, seed, id_offset=10_000_000)
-        start_k = 0
+        rows = []
 
     lam = eigenvalues(spec)
     lam_cut = float(np.median(lam))
-    rows = []
-    floors = []
-    for k in range(start_k, n_kicks + 1):
+    for k in range(len(rows), n_kicks + 1):
         dist = dual_lipschitz_lower(ens_a, ens_b, dic)
         floor_k = _split_half_floor(ens_b, dic)
-        floors.append(floor_k)
         _, tail_max = tail_energy(ens_b, lam_cut, spec)
         mean_nh = float(np.linalg.norm(ens_b.particles, axis=1).mean())
         rows.append((k, dist, floor_k, tail_max, mean_nh))
@@ -276,12 +330,12 @@ def _run_mix(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
         if k < n_kicks:
             ens_a = ensemble_step(ens_a, spec, cfg, noise, workers=workers)
             ens_b = ensemble_step(ens_b, spec, cfg, noise, workers=workers)
-            ckpt = opts.get("checkpoint")
             if ckpt:
                 checkpoint_save(ens_a, ens_b, ckpt)
+                _rows_save(rows, ckpt)
     em.write_csv("mix_distances.csv", "k,dist_lower,floor,tail_energy_max,mean_normH", rows)
 
-    floor_est = float(np.median(floors))
+    floor_est = float(np.median([r[2] for r in rows]))
     ds = np.array([r[1] for r in rows])
     usable = np.nonzero(ds > 2.0 * floor_est)[0]
     try:
@@ -393,6 +447,7 @@ def run(ec: ExperimentConfig, opts: dict | None = None) -> RunManifest:
     """Dispatch to the configured experiment and write outputs + manifest."""
     opts = dict(opts or {})
     out_dir = Path(opts.pop("out", None) or ec.out_dir)
+    _check_options(ec, opts)
     em = _Emitter(out_dir)
     manifest = RunManifest(config=config_snapshot(ec), experiment=ec.experiment)
     t0 = time.perf_counter()
@@ -417,25 +472,14 @@ def _ensemble_lines(ens: EmpiricalEnsemble) -> list[str]:
     return lines
 
 
-def checkpoint_save(ens_a: EmpiricalEnsemble, ens_b: EmpiricalEnsemble, path) -> None:
-    """Versioned text checkpoint of a pair of ensembles.
-
-    Particle stream positions are implied by (seed, particle id,
-    kick_index), so storing those integers restores the RNG lineage
-    exactly.
-    """
-    k_dim = ens_a.particles.shape[1]
-    body = _ensemble_lines(ens_a) + _ensemble_lines(ens_b)
-    text = "\n".join(body) + "\n"
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    header = f"{CKPT_MAGIC},K={k_dim}\n"
-    # write beside the target and rename over it, so that a failed write
-    # leaves the previous checkpoint in place
+def _atomic_write(path, text: str) -> None:
+    """Write beside the target, fsync and rename over it, so that a failed
+    write leaves the previous file in place."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "w") as fh:
-            fh.write(header + text + f"HASH {digest}\n")
+            fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -444,16 +488,41 @@ def checkpoint_save(ens_a: EmpiricalEnsemble, ens_b: EmpiricalEnsemble, path) ->
         raise
 
 
-def checkpoint_load(path, expect_k: int | None = None):
-    """Load a checkpoint pair; verifies version and content hash."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith(CKPT_MAGIC):
-        raise ConfigError(f"checkpoint {path}: version mismatch or not a checkpoint")
+def _hashed_text(header: str, body: list[str]) -> str:
+    text = "\n".join(body) + "\n"
+    return f"{header}\n{text}HASH {hashlib.sha256(text.encode()).hexdigest()}\n"
+
+
+def _read_hashed(path, magic: str) -> list[str]:
+    """Lines of a file written by ``_hashed_text``, after checking its hash."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not lines or not lines[0].startswith(magic):
+        raise ConfigError(f"{path}: version mismatch or not a {magic.split()[0]} file")
     if not lines[-1].startswith("HASH "):
-        raise ConfigError(f"checkpoint {path}: missing content hash")
+        raise ConfigError(f"{path}: missing content hash")
     body = "\n".join(lines[1:-1]) + "\n"
     if hashlib.sha256(body.encode()).hexdigest() != lines[-1].split(" ", 1)[1]:
-        raise ConfigError(f"checkpoint {path}: corrupt content hash")
+        raise ConfigError(f"{path}: corrupt content hash")
+    return lines
+
+
+def checkpoint_save(ens_a: EmpiricalEnsemble, ens_b: EmpiricalEnsemble, path) -> None:
+    """Versioned text checkpoint of a pair of ensembles.
+
+    Particle stream positions are implied by (seed, particle id,
+    kick_index), so storing those integers restores the RNG lineage
+    exactly.
+    """
+    header = f"{CKPT_MAGIC},K={ens_a.particles.shape[1]}"
+    _atomic_write(path, _hashed_text(header, _ensemble_lines(ens_a) + _ensemble_lines(ens_b)))
+
+
+def checkpoint_load(path, expect_k: int | None = None):
+    """Load a checkpoint pair; verifies version and content hash."""
+    lines = _read_hashed(path, CKPT_MAGIC)
     k_dim = int(lines[0].split("K=")[1])
     if expect_k is not None and k_dim != expect_k:
         raise ConfigError(f"checkpoint {path}: K={k_dim} does not match domain K={expect_k}")
@@ -477,3 +546,28 @@ def checkpoint_load(path, expect_k: int | None = None):
     if len(ensembles) != 2:
         raise ConfigError(f"checkpoint {path}: expected 2 ensembles, found {len(ensembles)}")
     return ensembles[0], ensembles[1]
+
+
+def _rows_path(ckpt) -> Path:
+    path = Path(ckpt)
+    return path.with_name(path.name + ".rows")
+
+
+def _rows_save(rows: list[tuple], ckpt) -> None:
+    """The ``mix`` rows of kicks 0 .. kick_index - 1, beside checkpoint ``ckpt``."""
+    body = [",".join(_fmt(v) for v in row) for row in rows]
+    _atomic_write(_rows_path(ckpt), _hashed_text(ROWS_MAGIC, body))
+
+
+def _rows_load(ckpt, kick_index: int) -> list[tuple]:
+    """The rows saved beside ``ckpt``: one for each kick before kick_index."""
+    lines = _read_hashed(_rows_path(ckpt), ROWS_MAGIC)
+    try:
+        rows = [(int(k), *map(float, rest))
+                for k, *rest in (ln.split(",") for ln in lines[1:-1])]
+    except ValueError as exc:
+        raise ConfigError(f"{_rows_path(ckpt)}: malformed row: {exc}") from exc
+    if [r[0] for r in rows] != list(range(kick_index)):
+        raise ConfigError(f"{_rows_path(ckpt)}: holds {len(rows)} rows, but checkpoint "
+                          f"{ckpt} is at kick {kick_index}")
+    return rows

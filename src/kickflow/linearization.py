@@ -48,7 +48,13 @@ def bilinear_q(a: np.ndarray, bvec: np.ndarray, spec: DomainSpec,
                cfg: SolverConfig | None = None) -> np.ndarray:
     """Symmetrised advection Q(a, b) = P(a.grad b) + P(b.grad a).
 
-    ``bvec`` may be a (K,) vector or a (K, n) column stack with ``a`` fixed.
+    Taken in vorticity form: <Q(a, b), e_k> = <a.grad omega_b +
+    b.grad omega_a, psi_k>.  This is the polarisation of
+    curl(u.grad u) = u.grad omega, and the integration by parts behind it
+    has no boundary term because psi_k vanishes on the free-slip walls; the
+    dealiased grid integrates the cubic integrand exactly (see
+    ``GridOperators``).  ``bvec`` may be a (K,) vector or a (K, n) column
+    stack with ``a`` fixed.
     """
     cfg = cfg or SolverConfig()
     ops = grid_operators(spec, cfg.nx, cfg.nyq)
@@ -56,24 +62,18 @@ def bilinear_q(a: np.ndarray, bvec: np.ndarray, spec: DomainSpec,
 
 
 def _grid_fields(a: np.ndarray, ops):
+    """u1, u2, omega_x, omega_y of one state on the grid, shape (4, npts)."""
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise FloatingPointError("non-finite coefficients in bilinear form input")
-    return (ops.syn6 @ a).reshape(6, ops.n_points)
+    return (ops.syn4 @ a).reshape(4, ops.n_points)
 
 
 def _q_on_grid(af, bvec, ops):
     """Q(a, .) applied to columns of bvec, with a's grid fields precomputed."""
-    a1, a2, a1x, a1y, a2x, a2y = af
-    if bvec.ndim == 2:
-        a1, a2 = a1[:, None], a2[:, None]
-        a1x, a1y, a2x, a2y = a1x[:, None], a1y[:, None], a2x[:, None], a2y[:, None]
-    npts = ops.n_points
-    g = (ops.syn6 @ bvec).reshape((6, npts) + bvec.shape[1:])
-    b1, b2, b1x, b1y, b2x, b2y = g
-    c1 = a1 * b1x + a2 * b1y + b1 * a1x + b2 * a1y
-    c2 = a1 * b2x + a2 * b2y + b1 * a2x + b2 * a2y
-    return ops.ana2 @ np.concatenate([c1, c2], axis=0)
+    a1, a2, awx, awy = af.reshape((4, ops.n_points) + (1,) * (bvec.ndim - 1))
+    b1, b2, bwx, bwy = (ops.syn4 @ bvec).reshape((4, ops.n_points) + bvec.shape[1:])
+    return ops.ana1 @ (a1 * bwx + a2 * bwy + b1 * awx + b2 * awy)
 
 
 def _propagate(base: Trajectory, w0: np.ndarray, source: np.ndarray,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from kickflow import experiments
+from kickflow.basis import save_field
 from kickflow.config import config_snapshot, load_config, parse_config
 from kickflow.errors import ConfigError
 from kickflow.ergodicity import make_compact
@@ -264,20 +265,77 @@ class TestCheckpoints:
 
 
 class TestResume:
-    def test_resume_matches_uninterrupted_run(self, tmp_path):
+    def _mix(self, tmp_path, out, kicks, *extra):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(FAST_LINES)
+        res = _cli("--config", str(cfg), "--seed", "4", "--out", str(tmp_path / out), "mix",
+                   "--particles", "16", "--kicks", str(kicks), *extra)
+        assert res.returncode == 0, res.stderr
+
+    def test_resume_matches_uninterrupted_run(self, tmp_path):
         ck = tmp_path / "ck.txt"
-        r1 = _cli("--config", str(cfg), "--out", str(tmp_path / "part"), "mix",
-                  "--particles", "8", "--kicks", "2", "--checkpoint", str(ck))
-        assert r1.returncode == 0
-        r2 = _cli("--config", str(cfg), "--out", str(tmp_path / "full"), "mix",
-                  "--particles", "8", "--kicks", "4")
-        assert r2.returncode == 0
-        r3 = _cli("--config", str(cfg), "--out", str(tmp_path / "res"), "mix",
-                  "--particles", "8", "--kicks", "4", "--resume", str(ck))
-        assert r3.returncode == 0
-        full = (tmp_path / "full" / "mix_distances.csv").read_text().splitlines()
-        res = (tmp_path / "res" / "mix_distances.csv").read_text().splitlines()
-        assert res[-1] == full[-1]
-        assert res[-2] == full[-2]
+        self._mix(tmp_path, "part", 2, "--checkpoint", str(ck))
+        self._mix(tmp_path, "full", 5)
+        self._mix(tmp_path, "res", 5, "--resume", str(ck))
+        for name in ("mix_distances.csv", "mix_summary.json"):
+            full = (tmp_path / "full" / name).read_bytes()
+            assert (tmp_path / "res" / name).read_bytes() == full, name
+        assert len((tmp_path / "res" / "mix_distances.csv").read_text().splitlines()) == 7
+
+    def test_rows_must_match_the_checkpoint(self, tmp_path):
+        ck = tmp_path / "ck.txt"
+        self._mix(tmp_path, "one", 1, "--checkpoint", str(ck))
+        rows_after_one = (tmp_path / "ck.txt.rows").read_bytes()
+        self._mix(tmp_path, "two", 2, "--checkpoint", str(ck))
+        (tmp_path / "ck.txt.rows").write_bytes(rows_after_one)
+        ec = parse_config(FAST_LINES + "experiment = mix\nseed = 4\n")
+        with pytest.raises(ConfigError, match="1 rows, but checkpoint"):
+            run(ec, {"out": tmp_path / "res", "particles": 16, "kicks": 3, "resume": str(ck)})
+        (tmp_path / "ck.txt.rows").unlink()
+        with pytest.raises(ConfigError, match="cannot read"):
+            run(ec, {"out": tmp_path / "res", "particles": 16, "kicks": 3, "resume": str(ck)})
+
+
+BAD_INPUTS = {
+    "missing-u0-file": ("simulate", "--u0", "/nonexistent/u0.field"),
+    "u0-seed-not-a-number": ("simulate", "--u0", "random:x"),
+    "no-draws": ("noise-check", "--draws", "0"),
+    "no-particles": ("mix", "--particles", "0"),
+    "negative-delta": ("couple", "--delta", "-1"),
+    "negative-kicks": ("simulate", "--kicks", "-1"),
+    "missing-kick-file": ("linearize", "--kick", "/nonexistent/eta.kick"),
+    "missing-checkpoint": ("mix", "--resume", "/nonexistent/ck.txt"),
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_is_one_json_line_with_exit_2(tmp_path, argv):
+    res = _cli("--out", str(tmp_path), *argv)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ConfigError"
+    assert record["exit_code"] == 2
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_non_finite_field_file_is_a_config_error(spec, tmp_path):
+    path = tmp_path / "u.field"
+    u = np.zeros(spec.n_modes)
+    u[3] = np.nan
+    save_field(u, path)
+    with pytest.raises(ConfigError, match="non-finite"):
+        run(parse_config("out_dir = " + str(tmp_path / "o")), {"u0": str(path)})
+
+
+@pytest.mark.parametrize("line", ["control.delta = -1", "control.delta = inf",
+                                  "control.q_target = 2", "control.M = 0",
+                                  "control.gamma = 0", "control.epsilon_target = 0",
+                                  "noise.seed = -1"])
+def test_out_of_range_config_is_rejected_before_any_output(tmp_path, line):
+    ec = parse_config(f"{line}\nexperiment = spectrum\nout_dir = {tmp_path / 'o'}\n")
+    with pytest.raises(ConfigError):
+        run(ec)
+    assert not (tmp_path / "o").exists()
