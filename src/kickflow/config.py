@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .basis import DomainSpec
+from .basis import DomainSpec, min_grid
 from .dynamics import SolverConfig
 from .errors import ConfigError
 from .noise import NoiseSpec
@@ -104,6 +104,11 @@ def parse_config(text: str) -> ExperimentConfig:
         noise = NoiseSpec(**sections["noise"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    nx_min, nyq_min = min_grid(domain)
+    nx = nx_min if solver.nx is None else solver.nx
+    nyq = nyq_min if solver.nyq is None else solver.nyq
+    if nx < nx_min or nyq < nyq_min:
+        raise ConfigError(f"grid ({nx}, {nyq}) below dealiasing minimum ({nx_min}, {nyq_min})")
     top = sections["top"]
     experiment = top.get("experiment", "simulate")
     if experiment not in EXPERIMENTS:

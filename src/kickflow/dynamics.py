@@ -172,7 +172,7 @@ def energy_identity_residual(traj: Trajectory, spec: DomainSpec) -> float:
     e^{nu*lam1*(t-s)} (<eta, u> - nu[u]^2 - a||u||^2) taken by the
     trapezoid rule on the recorded energy log.
     """
-    if traj.norm_h_sq is None or len(traj.norm_h_sq) != len(traj.times):
+    if len(traj.norm_h_sq) != len(traj.times):
         raise ValueError("trajectory lacks a complete energy log")
     nu = spec.viscosity
     lam1 = poincare_constant(spec)

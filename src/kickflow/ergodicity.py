@@ -136,27 +136,16 @@ def ensemble_step(ens: EmpiricalEnsemble, spec: DomainSpec, cfg: SolverConfig,
                              ens.master_seed, ens.particle_ids)
 
 
-def krylov_average(history: list[EmpiricalEnsemble] | np.ndarray,
-                   burn_in: int = 0) -> EmpiricalEnsemble:
+def krylov_average(history: list[EmpiricalEnsemble], burn_in: int = 0) -> EmpiricalEnsemble:
     """Time-averaged occupation measure over post-burn-in snapshots."""
-    if isinstance(history, np.ndarray):
-        if history.ndim == 2:
-            snaps = [history[burn_in:]]
-            weights = [np.full(s.shape[0], 1.0) for s in snaps]
-            seed, ids = 0, None
-        else:
-            raise ValueError("array history must be (T, K) integer-time states")
-    else:
-        snaps = [e.particles for e in history[burn_in:]]
-        weights = [e.weights for e in history[burn_in:]]
-        seed = history[-1].master_seed if history else 0
-        ids = None
-    if not snaps or sum(s.shape[0] for s in snaps) == 0:
+    kept = history[burn_in:]
+    if sum(e.n_particles for e in kept) == 0:
         raise InsufficientDataError("empty history for time averaging")
-    particles = np.concatenate(snaps, axis=0)
-    w = np.concatenate(weights)
+    particles = np.concatenate([e.particles for e in kept], axis=0)
+    w = np.concatenate([e.weights for e in kept])
     w = w / w.sum()
-    return EmpiricalEnsemble(particles, w, 0, seed, np.arange(particles.shape[0]))
+    return EmpiricalEnsemble(particles, w, 0, history[-1].master_seed,
+                             np.arange(particles.shape[0]))
 
 
 @dataclass

@@ -45,7 +45,7 @@ from .noise import (
     sample_xi,
     support_bound,
 )
-from .stabilisation import ControlConfig, couple, epsilon_check, tune
+from .stabilisation import ControlConfig, couple, tune
 
 __all__ = ["RunManifest", "run", "checkpoint_save", "checkpoint_load"]
 
@@ -88,7 +88,10 @@ class _Emitter:
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
         self.records = []
 
     def write_text(self, name: str, text: str) -> Path:

@@ -2,8 +2,10 @@
 
 The linearised stepper is the exact tangent of the nonlinear
 exponential-Euler stepper with coefficients frozen along a recorded base
-trajectory.  Jacobians are assembled column-wise (all columns propagated
-together as one matrix), which keeps finite-difference cross-checks tight.
+trajectory.  Q(a, .) is linear, so on each substep it is one K x K matrix
+J_i built from the base state a_i; the Jacobian and the forcing derivative
+are propagated together as one column stack through those matrices, which
+keeps finite-difference cross-checks tight.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import single_threaded_blas
 from .basis import DomainSpec, eigenvalues, grid_operators
 from .dynamics import SolverConfig, Trajectory, _factors
 from .noise import NoiseSpec, legendre_values
@@ -80,6 +83,15 @@ def _propagate(base: Trajectory, w0: np.ndarray, source: np.ndarray,
                spec: DomainSpec, cfg: SolverConfig) -> np.ndarray:
     """Advance the (K, m) stack w0 through the flow linearised along ``base``.
 
+    Substep i steps w <- decay*w - gain*(J_i @ w), where J_i is Q(a_i, .)
+    written as a K x K matrix.  Since Q(a, b) = ana1 @ (a1*b_wx + a2*b_wy +
+    a_wx*b1 + a_wy*b2) is linear in b and b's grid fields are syn4 @ b,
+    J_i = ana1 @ (a1*S_wx + a2*S_wy + a_wx*S_u1 + a_wy*S_u2), with S_f the
+    f-block of syn4 and each of a_i's grid fields scaling its rows.  This is
+    the same linear map as Q(a_i, .) on the columns, so only rounding
+    differs; the grid work per substep is one K x npts x K product, however
+    many columns w has.
+
     ``source`` holds tau_p(t) at the substep midpoints, shape (n_substeps, P).
     The last P*K columns are driven by the noise basis elements tau_p e_k in
     p-major order, so they carry D_eta S; the columns before them see no
@@ -91,10 +103,14 @@ def _propagate(base: Trajectory, w0: np.ndarray, source: np.ndarray,
     n_src = source.shape[1] * K
     rows = np.arange(K)
     cols = w0.shape[1] - n_src + np.arange(n_src).reshape(-1, K)  # (P, K)
+    # (npts, 4, K): block f is the syn4 block that a's field f scales,
+    # S_wx, S_wy, S_u1 and S_u2 for a1, a2, a_wx and a_wy
+    syn = ops.syn4.reshape(4, ops.n_points, K)[[2, 3, 0, 1]].transpose(1, 0, 2).copy()
     w = np.array(w0, dtype=float)
     for i in range(base.states.shape[0] - 1):
-        af = _grid_fields(base.states[i], ops)
-        w = decay[:, None] * w - gain[:, None] * _q_on_grid(af, w, ops)
+        af = _grid_fields(base.states[i], ops).T  # (npts, 4)
+        jac = ops.ana1 @ (af[:, None, :] @ syn)[:, 0]
+        w = decay[:, None] * w - gain[:, None] * (jac @ w)
         w[rows, cols] += gain * source[i][:, None]
     return w
 
@@ -105,19 +121,22 @@ def linearize_kick(base: Trajectory, spec: DomainSpec, cfg: SolverConfig,
 
     One linearised solve advances [I_K | 0]: its first K columns are the
     Jacobian D_u S, split as diag(psi1) + psi2, and the other P*K are A.
+    BLAS runs on one thread: the per-substep products are K x K sized, and
+    threads that split them wait for one another (``_blas``).
     """
-    if base.states is None or base.states.shape[0] < 2:
+    if base.states.shape[0] < 2:
         raise ValueError("base trajectory lacks substep states")
     K = spec.n_modes
     n = base.states.shape[0] - 1
     t_mid = (np.arange(n) + 0.5) * cfg.dt
     w0 = np.hstack([np.eye(K), np.zeros((K, noise.p_order * K))])
-    w = _propagate(base, w0, legendre_values(noise.p_order, t_mid % 1.0), spec, cfg)
+    with single_threaded_blas():
+        w = _propagate(base, w0, legendre_values(noise.p_order, t_mid % 1.0), spec, cfg)
+        a_matrix = w[:, K:]
+        gram = a_matrix @ a_matrix.T
+        eigvals, eigvecs = np.linalg.eigh(gram)
     lam = spec.viscosity * eigenvalues(spec) + spec.damping
     psi1 = np.exp(-lam * (n * cfg.dt))
-    a_matrix = w[:, K:]
-    gram = a_matrix @ a_matrix.T
-    eigvals, eigvecs = np.linalg.eigh(gram)
     return TangentOperators(psi1, w[:, :K] - np.diag(psi1), a_matrix, gram, eigvals, eigvecs)
 
 

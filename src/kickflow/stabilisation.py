@@ -21,7 +21,6 @@ from .noise import KickPath, NoiseSpec, pm_order, sample_kick, kick_rng
 __all__ = [
     "ControlConfig",
     "CouplingReport",
-    "right_inverse_apply",
     "right_inverse_matrix",
     "phi",
     "epsilon_check",
@@ -79,24 +78,13 @@ class CouplingReport:
         return max(ratios) if ratios else 0.0
 
 
-def _solve_regularised(ops: TangentOperators, f: np.ndarray, gamma: float) -> np.ndarray:
-    v = ops.gram_eigvecs
-    return v @ ((v.T @ f) / (ops.gram_eigvals + gamma))
-
-
-def right_inverse_apply(ops: TangentOperators, f: np.ndarray, ctl: ControlConfig,
-                        noise: NoiseSpec, spec: DomainSpec) -> KickPath:
-    """R_{M,gamma} f = P_M A^T (G + gamma I)^{-1} f as a kick path."""
-    e_flat = ops.a_matrix.T @ _solve_regularised(ops, np.asarray(f, dtype=float), ctl.gamma)
-    keep = pm_order(noise, spec)[:ctl.rank]
-    out = np.zeros_like(e_flat)
-    out[keep] = e_flat[keep]
-    return KickPath(out.reshape(noise.p_order, spec.n_modes))
-
-
 def right_inverse_matrix(ops: TangentOperators, ctl: ControlConfig,
                          noise: NoiseSpec, spec: DomainSpec) -> np.ndarray:
-    """Dense (P*K, K) matrix of R_{M,gamma}."""
+    """Dense (P*K, K) matrix of R_{M,gamma} = P_M A^T (G + gamma I)^{-1}.
+
+    Its rows are the noise coordinates in p-major flat order; those outside
+    the leading M of ``pm_order`` are zero.
+    """
     v = ops.gram_eigvecs
     ginv = v @ (v.T / (ops.gram_eigvals + ctl.gamma)[:, None])
     r = ops.a_matrix.T @ ginv
@@ -106,18 +94,19 @@ def right_inverse_matrix(ops: TangentOperators, ctl: ControlConfig,
     return r
 
 
-def phi(u: np.ndarray, u_prime: np.ndarray, ops: TangentOperators, ctl: ControlConfig,
-        noise: NoiseSpec, spec: DomainSpec) -> KickPath:
-    """Stabilising control phi = -R_{M,gamma} Psi2 (u' - u); linear in u' - u."""
-    return right_inverse_apply(ops, ops.psi2 @ (np.asarray(u) - np.asarray(u_prime)),
-                               ctl, noise, spec)
+def phi(u: np.ndarray, u_prime: np.ndarray, ops: TangentOperators,
+        r: np.ndarray) -> KickPath:
+    """Stabilising control phi = -R Psi2 (u' - u); linear in u' - u.
+
+    ``r`` is the dense R_{M,gamma} from ``right_inverse_matrix``.
+    """
+    f = ops.psi2 @ (np.asarray(u, dtype=float) - np.asarray(u_prime, dtype=float))
+    return KickPath((r @ f).reshape(-1, f.shape[0]))
 
 
-def epsilon_check(ops: TangentOperators, ctl: ControlConfig, noise: NoiseSpec,
-                  spec: DomainSpec) -> float:
-    """Spectral norm of (A R_{M,gamma} - I) Psi2, the control defect."""
-    r = right_inverse_matrix(ops, ctl, noise, spec)
-    defect = (ops.a_matrix @ r - np.eye(spec.n_modes)) @ ops.psi2
+def epsilon_check(ops: TangentOperators, r: np.ndarray) -> float:
+    """Spectral norm of (A R - I) Psi2, the control defect of the dense R."""
+    defect = (ops.a_matrix @ r - np.eye(r.shape[1])) @ ops.psi2
     return float(np.linalg.norm(defect, 2))
 
 
@@ -133,7 +122,7 @@ def tune(ops: TangentOperators, epsilon_target: float, noise: NoiseSpec,
     for rank in range(K, noise.p_order * K + 1, K):
         for gamma in GAMMA_GRID:
             ctl = ControlConfig(rank, gamma, delta, q_target)
-            eps = epsilon_check(ops, ctl, noise, spec)
+            eps = epsilon_check(ops, right_inverse_matrix(ops, ctl, noise, spec))
             best = min(best, eps)
             if eps <= epsilon_target:
                 return ctl
@@ -159,8 +148,9 @@ def couple(u0: np.ndarray, u0_prime: np.ndarray, kick_seed: int, n_steps: int,
         eta = sample_kick(noise, spec, kick_rng(kick_seed, traj_id, k))
         base = flow(u, eta, spec, cfg)
         ops = linearize_kick(base, spec, cfg, noise)
-        control = phi(u, up, ops, ctl, noise, spec)
-        eps_hat = epsilon_check(ops, ctl, noise, spec)
+        r = right_inverse_matrix(ops, ctl, noise, spec)
+        control = phi(u, up, ops, r)
+        eps_hat = epsilon_check(ops, r)
         u_next = base.endpoint
         up_next = time_one_map(up, eta + control, spec, cfg)
         dist_next = float(np.linalg.norm(u_next - up_next))

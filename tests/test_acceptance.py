@@ -20,7 +20,7 @@ from kickflow.linearization import compactness_diagnostic, gram_limit_check, \
     linearize_kick
 from kickflow.noise import KickPath, NoiseSpec, amplitudes, kick_rng, pm_order, \
     sample_kick, sample_xi
-from kickflow.stabilisation import couple, epsilon_check, tune
+from kickflow.stabilisation import couple, epsilon_check, right_inverse_matrix, tune
 
 SPEC = DomainSpec(length=4.0, viscosity=0.1, mx=5, ny=5)
 CFG = SolverConfig(dt=1e-3)
@@ -179,7 +179,7 @@ class TestAcceptance:
         _, ops = base_ops
         delta = 1e-2
         ctl = tune(ops, 0.1, NOISE, SPEC, delta=delta)
-        eps_hat = epsilon_check(ops, ctl, NOISE, SPEC)
+        eps_hat = epsilon_check(ops, right_inverse_matrix(ops, ctl, NOISE, SPEC))
         q_geo, q_max, c_hat = [], 0.0, 0.0
         phi_bound_ok = True
         for pair in range(2):

@@ -305,12 +305,22 @@ BAD_INPUTS = {
     "negative-kicks": ("simulate", "--kicks", "-1"),
     "missing-kick-file": ("linearize", "--kick", "/nonexistent/eta.kick"),
     "missing-checkpoint": ("mix", "--resume", "/nonexistent/ck.txt"),
+    "grid-below-minimum": ("--config", "{tmp}/coarse.cfg", "simulate", "--kicks", "1"),
+    "out-is-a-file": ("--out", "{tmp}/file", "spectrum"),
+    "out-below-a-file": ("--out", "{tmp}/file/sub", "spectrum"),
 }
 
 
-@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_is_one_json_line_with_exit_2(tmp_path, argv):
-    res = _cli("--out", str(tmp_path), *argv)
+# rejected before the output directory is created
+NO_OUTPUT_DIR = {"grid-below-minimum", "out-is-a-file", "out-below-a-file"}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_is_one_json_line_with_exit_2(tmp_path, case):
+    (tmp_path / "coarse.cfg").write_text("solver.nx = 3\n")
+    (tmp_path / "file").write_text("a regular file\n")
+    out = tmp_path / "o"
+    res = _cli("--out", str(out), *(arg.format(tmp=tmp_path) for arg in BAD_INPUTS[case]))
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     lines = res.stderr.strip().splitlines()
@@ -318,7 +328,9 @@ def test_bad_input_is_one_json_line_with_exit_2(tmp_path, argv):
     record = json.loads(lines[0])
     assert record["error"] == "ConfigError"
     assert record["exit_code"] == 2
-    assert not (tmp_path / "manifest.json").exists()
+    assert not (out / "manifest.json").exists()
+    if case in NO_OUTPUT_DIR:
+        assert not out.exists()
 
 
 def test_non_finite_field_file_is_a_config_error(spec, tmp_path):

@@ -1,6 +1,8 @@
-"""Property tests of the advection kernel and of the field and kick files."""
+"""Property tests of the advection kernel, the tangent map, and the field
+and kick files."""
 
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kickflow import DomainSpec, KickPath
+from kickflow import DomainSpec, KickPath, NoiseSpec, SolverConfig
 from kickflow.basis import load_field, norms, save_field
-from kickflow.dynamics import nonlinearity
-from kickflow.linearization import bilinear_q
-from kickflow.noise import load_kick, save_kick
+from kickflow.dynamics import flow, nonlinearity
+from kickflow.linearization import _propagate, bilinear_q
+from kickflow.noise import kick_rng, load_kick, sample_kick, save_kick
 
 SPEC = DomainSpec(length=4.0, viscosity=0.1)
 K = SPEC.n_modes
@@ -66,6 +68,35 @@ def test_q_bilinear(a, c, b, s, t):
         - t * bilinear_q(b, c, SPEC)
     assert np.abs(first).max() <= tol
     assert np.abs(second).max() <= tol
+
+
+TANGENT_CFG = SolverConfig(dt=0.01)
+
+
+@lru_cache(maxsize=None)
+def _tangent_base():
+    """A kicked base trajectory from a small smooth state."""
+    u0 = np.zeros(K)
+    u0[:8] = np.random.default_rng(3).standard_normal(8)
+    u0 *= 0.3 / np.linalg.norm(u0)
+    return flow(u0, sample_kick(NoiseSpec(), SPEC, kick_rng(3, 0, 0)), SPEC, TANGENT_CFG)
+
+
+def _tangent(w):
+    base = _tangent_base()
+    no_source = np.zeros((base.states.shape[0] - 1, 0))
+    return _propagate(base, w, no_source, SPEC, TANGENT_CFG)
+
+
+columns = hnp.arrays(np.float64, (K, 2), elements=_zero_or_magnitude(1e-6, 10))
+
+
+@settings(max_examples=50, deadline=None)
+@given(columns, columns, scalars, scalars)
+def test_tangent_linear(w0, w1, s, t):
+    """Without a source, propagating s*w0 + t*w1 is s*prop(w0) + t*prop(w1)."""
+    tol = 1e-12 * (abs(s) * np.abs(w0).max() + abs(t) * np.abs(w1).max())
+    assert np.abs(_tangent(s * w0 + t * w1) - s * _tangent(w0) - t * _tangent(w1)).max() <= tol
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -13,7 +13,6 @@ from kickflow.stabilisation import (
     couple,
     epsilon_check,
     phi,
-    right_inverse_apply,
     right_inverse_matrix,
     tune,
 )
@@ -47,58 +46,81 @@ class TestControlConfig:
 
 
 class TestRightInverse:
-    def test_matrix_agrees_with_apply(self, ops, noise, spec, rng):
+    def test_matrix_matches_regularised_solve(self, ops, noise, spec, rng):
+        """R f = P_M A^T (G + gamma I)^{-1} f, the solve taken on its own."""
+        from kickflow.noise import pm_order
+
         ctl = ControlConfig(rank=spec.n_modes, gamma=1e-3)
         f = rng.standard_normal(spec.n_modes)
         r = right_inverse_matrix(ops, ctl, noise, spec)
-        via_apply = right_inverse_apply(ops, f, ctl, noise, spec)
-        assert np.abs((r @ f).reshape(via_apply.coeffs.shape)
-                      - via_apply.coeffs).max() < 1e-12
+        solved = ops.a_matrix.T @ np.linalg.solve(ops.gram + ctl.gamma * np.eye(spec.n_modes), f)
+        keep = pm_order(noise, spec)[:ctl.rank]
+        expected = np.zeros_like(solved)
+        expected[keep] = solved[keep]
+        assert np.abs(r @ f - expected).max() < 1e-12
 
     def test_near_inverse_on_range(self, ops, noise, spec, rng):
         """A R f -> f as gamma -> 0 when no coordinates are truncated."""
         ctl = ControlConfig(rank=noise.p_order * spec.n_modes, gamma=1e-9)
         f = ops.a_matrix @ rng.standard_normal(ops.a_matrix.shape[1])
-        eta = right_inverse_apply(ops, f, ctl, noise, spec)
-        recon = ops.a_matrix @ eta.coeffs.ravel()
+        recon = ops.a_matrix @ (right_inverse_matrix(ops, ctl, noise, spec) @ f)
         lam_min = ops.gram_eigvals.min()
         assert np.linalg.norm(recon - f) <= 2 * ctl.gamma / lam_min * np.linalg.norm(f)
 
-    def test_truncation_zeroes_tail(self, ops, noise, spec, rng):
+    def test_truncation_zeroes_tail(self, ops, noise, spec):
         from kickflow.noise import pm_order
 
         ctl = ControlConfig(rank=10, gamma=1e-3)
-        eta = right_inverse_apply(ops, rng.standard_normal(spec.n_modes), ctl,
-                                  noise, spec)
+        r = right_inverse_matrix(ops, ctl, noise, spec)
         keep = set(pm_order(noise, spec)[:10].tolist())
-        flat = eta.coeffs.ravel()
-        for idx in range(flat.size):
+        for idx in range(r.shape[0]):
             if idx not in keep:
-                assert flat[idx] == 0.0
+                assert np.all(r[idx] == 0.0)
 
 
 class TestControlDefect:
     def test_epsilon_decreases_with_gamma(self, ops, noise, spec):
         full = noise.p_order * spec.n_modes
-        eps = [epsilon_check(ops, ControlConfig(full, g), noise, spec)
+        eps = [epsilon_check(ops, right_inverse_matrix(ops, ControlConfig(full, g), noise, spec))
                for g in (1e-1, 1e-3, 1e-5)]
         assert eps[0] >= eps[1] >= eps[2]
 
+    def test_epsilon_closed_form_without_truncation(self, ops, noise, spec):
+        """With every coordinate kept, A R - I = -gamma (G + gamma I)^{-1}."""
+        gamma = 1e-2
+        r = right_inverse_matrix(ops, ControlConfig(noise.p_order * spec.n_modes, gamma),
+                                 noise, spec)
+        resolvent = np.linalg.solve(ops.gram + gamma * np.eye(spec.n_modes), ops.psi2)
+        assert epsilon_check(ops, r) == pytest.approx(np.linalg.norm(gamma * resolvent, 2),
+                                                      rel=1e-9)
+
     def test_phi_linear_in_separation(self, ops, noise, spec, rng):
-        ctl = ControlConfig(rank=spec.n_modes, gamma=1e-2)
+        r = right_inverse_matrix(ops, ControlConfig(rank=spec.n_modes, gamma=1e-2), noise, spec)
         u = rng.standard_normal(spec.n_modes) * 0.1
         w = rng.standard_normal(spec.n_modes) * 1e-3
-        one = phi(u, u + w, ops, ctl, noise, spec)
-        two = phi(u, u + 2 * w, ops, ctl, noise, spec)
+        one = phi(u, u + w, ops, r)
+        two = phi(u, u + 2 * w, ops, r)
+        assert one.coeffs.shape == (noise.p_order, spec.n_modes)
         assert np.allclose(two.coeffs, 2 * one.coeffs, rtol=1e-12, atol=1e-16)
-        zero = phi(u, u, ops, ctl, noise, spec)
+        zero = phi(u, u, ops, r)
         assert zero.norm_e == 0.0
+
+    @pytest.mark.parametrize("rank_blocks, gamma", [(1, 1e-2), (2, 1e-6)])
+    def test_control_cancels_compact_part(self, ops, noise, spec, rng, rank_blocks, gamma):
+        """A phi = -Psi2 (u' - u) up to the control defect: |(A R - I) Psi2 w| <= eps |w|."""
+        r = right_inverse_matrix(ops, ControlConfig(rank_blocks * spec.n_modes, gamma),
+                                 noise, spec)
+        u = rng.standard_normal(spec.n_modes) * 0.1
+        w = rng.standard_normal(spec.n_modes) * 1e-3
+        control = phi(u, u + w, ops, r)
+        residual = ops.a_matrix @ control.coeffs.ravel() + ops.psi2 @ w
+        assert np.linalg.norm(residual) <= (epsilon_check(ops, r) + 1e-12) * np.linalg.norm(w)
 
 
 class TestTune:
     def test_returns_feasible_config(self, ops, noise, spec):
         ctl = tune(ops, 0.1, noise, spec)
-        assert epsilon_check(ops, ctl, noise, spec) <= 0.1
+        assert epsilon_check(ops, right_inverse_matrix(ops, ctl, noise, spec)) <= 0.1
         assert ctl.rank % spec.n_modes == 0
         assert ctl.gamma in GAMMA_GRID
 
