@@ -12,7 +12,6 @@ __version__ = "1.0.0"
 from .basis import (
     DomainSpec,
     ModeIndex,
-    analyze,
     bracket,
     eigenvalues,
     load_field,
@@ -22,7 +21,6 @@ from .basis import (
     poincare_constant,
     save_field,
     stokes_eigenvalue,
-    synthesize,
 )
 from .config import ExperimentConfig, load_config, parse_config
 from .dynamics import (
@@ -31,7 +29,6 @@ from .dynamics import (
     energy_identity_residual,
     flow,
     nonlinearity,
-    step,
     time_one_map,
 )
 from .errors import (
@@ -52,7 +49,6 @@ from .ergodicity import (
     k_star,
     krylov_average,
     make_compact,
-    markov_run,
     mixing_fit,
     tail_energy,
 )
@@ -112,12 +108,9 @@ __all__ = [
     "norms",
     "bracket",
     "min_grid",
-    "synthesize",
-    "analyze",
     "save_field",
     "load_field",
     "nonlinearity",
-    "step",
     "flow",
     "time_one_map",
     "energy_identity_residual",
@@ -139,7 +132,6 @@ __all__ = [
     "tune",
     "couple",
     "make_compact",
-    "markov_run",
     "ensemble_step",
     "krylov_average",
     "bl_distance_1d",

@@ -1,18 +1,17 @@
 """Thread count of the OpenBLAS that numpy is linked against.
 
-Code that parallelises over columns itself runs its BLAS on one thread.
-A multithreaded OpenBLAS call splits each product between threads that
-wait for one another, and its idle threads spin between calls, so a loop
-of many mid-sized products slows several-fold as soon as any other
-process wants a core.  Where numpy uses another BLAS, or OpenBLAS cannot
-be found, the thread limit does nothing.
+Loops of many mid-sized products run their BLAS on one thread.  A
+multithreaded OpenBLAS call splits each product between threads that
+wait for one another, and its idle threads spin between calls, so such a
+loop slows several-fold as soon as any other process wants a core.
+Where numpy uses another BLAS, or OpenBLAS cannot be found, the thread
+limit does nothing.
 """
 
 from __future__ import annotations
 
 import ctypes
 import importlib
-import threading
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -23,10 +22,6 @@ _SYMBOLS = (
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
-
-_lock = threading.Lock()
-_depth = 0
-_saved = 0
 
 
 @lru_cache(maxsize=None)
@@ -60,24 +55,16 @@ def blas_threads() -> int | None:
 def single_threaded_blas():
     """Run the block with OpenBLAS on one thread, then restore its count.
 
-    Nested and concurrent uses share one limit, lifted when the last one
-    exits.
+    Nested uses restore correctly: an inner block saves and restores 1.
     """
-    global _depth, _saved
     fns = _openblas()
     if fns is None:
         yield
         return
     get, set_ = fns
-    with _lock:
-        if _depth == 0:
-            _saved = get()
-            set_(1)
-        _depth += 1
+    saved = get()
+    set_(1)
     try:
         yield
     finally:
-        with _lock:
-            _depth -= 1
-            if _depth == 0:
-                set_(_saved)
+        set_(saved)

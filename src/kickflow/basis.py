@@ -27,8 +27,6 @@ __all__ = [
     "bracket",
     "min_grid",
     "grid_operators",
-    "synthesize",
-    "analyze",
     "save_field",
     "load_field",
 ]
@@ -156,18 +154,13 @@ class GridOperators:
     and curl P(u . grad u) = u . grad omega, so ``ana1 @ (u1*omega_x +
     u2*omega_y)`` is the projected advection.  The integrand is a product of
     three band-limited fields, which the dealiased grid integrates exactly,
-    so this equals the velocity form up to rounding.  ``ana2`` is the L2
-    projection of grid velocities, ``ana2 @ concat(u1, u2)``, and serves
-    the public ``analyze`` only.
+    so this equals the velocity form up to rounding.
     """
 
     nx: int
     nyq: int
-    x: np.ndarray
-    y: np.ndarray
     syn4: np.ndarray  # (4*npts, K)
     ana1: np.ndarray  # (K, npts)
-    ana2: np.ndarray  # (K, 2*npts)
 
     @property
     def n_points(self) -> int:
@@ -225,28 +218,9 @@ def grid_operators(spec: DomainSpec, nx: int | None = None, nyq: int | None = No
 
     syn4 = syn.reshape(4 * npts, K)
     ana1 = (psi * w[:, None]).T.copy()
-    ana2 = (syn4[:2 * npts] * np.tile(w, 2)[:, None]).T.copy()
-    for mat in (syn4, ana1, ana2):
+    for mat in (syn4, ana1):
         mat.setflags(write=False)
-    return GridOperators(nx, nyq, x, y, syn4, ana1, ana2)
-
-
-def synthesize(u: np.ndarray, spec: DomainSpec, nx: int | None = None,
-               nyq: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Velocity samples (u1, u2) on the (nx, nyq + 1) tensor grid."""
-    u = _check_dim(u, spec)
-    ops = grid_operators(spec, nx, nyq)
-    u1, u2 = (ops.syn4[:2 * ops.n_points] @ u).reshape(2, ops.nx, ops.nyq + 1)
-    return u1, u2
-
-
-def analyze(u1: np.ndarray, u2: np.ndarray, spec: DomainSpec, nx: int | None = None,
-            nyq: int | None = None) -> np.ndarray:
-    """L2 projection of grid samples back onto the eigenbasis coefficients."""
-    ops = grid_operators(spec, nx, nyq)
-    v1 = np.asarray(u1, dtype=float).reshape(ops.n_points)
-    v2 = np.asarray(u2, dtype=float).reshape(ops.n_points)
-    return ops.ana2 @ np.concatenate([v1, v2])
+    return GridOperators(nx, nyq, syn4, ana1)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--seed", type=int, help="override the master seed")
     parser.add_argument("--out", help="override the output directory")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads for ensemble experiments")
     sub = parser.add_subparsers(dest="experiment", required=True)
 
     p = sub.add_parser("simulate", help="integrate one kicked trajectory")
@@ -81,12 +79,19 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _options(args: argparse.Namespace) -> dict:
-    opts = {"workers": args.workers}
+    opts = {}
     for name in ("u0", "kicks", "kick", "full", "delta", "steps", "pairs",
                  "particles", "compact", "checkpoint", "resume", "draws"):
         if hasattr(args, name) and getattr(args, name) is not None:
             opts[name] = getattr(args, name)
     return opts
+
+
+def _fail(exc: Exception, exit_code: int) -> int:
+    """Report a failure as one JSON line on stderr and return its exit code."""
+    record = {"error": type(exc).__name__, "message": str(exc), "exit_code": exit_code}
+    print(json.dumps(record), file=sys.stderr)
+    return exit_code
 
 
 def main(argv=None) -> int:
@@ -98,13 +103,10 @@ def main(argv=None) -> int:
         ec = _experiment_config(args)
         manifest = run(ec, _options(args))
     except KickflowError as exc:
-        record = {
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "exit_code": exc.exit_code,
-        }
-        print(json.dumps(record), file=sys.stderr)
-        return exc.exit_code
+        return _fail(exc, exc.exit_code)
+    except Exception as exc:
+        logging.getLogger("kickflow").debug("unclassified failure", exc_info=True)
+        return _fail(exc, 1)
     out = manifest.outputs[-1]["path"] if manifest.outputs else ec.out_dir
     print(f"{ec.experiment}: ok ({manifest.wall_clock_s:.2f}s, outputs in "
           f"{os.path.dirname(out) or '.'})")

@@ -7,7 +7,7 @@ back to defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .basis import DomainSpec, min_grid
 from .dynamics import SolverConfig
@@ -17,14 +17,6 @@ from .noise import NoiseSpec
 __all__ = ["ExperimentConfig", "parse_config", "load_config", "config_snapshot"]
 
 EXPERIMENTS = ("simulate", "linearize", "couple", "mix", "noise-check", "spectrum")
-
-
-def _to_bool(s: str) -> bool:
-    if s.lower() in ("true", "1", "yes"):
-        return True
-    if s.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
 
 
 # key -> (target section, field name, converter)
@@ -70,7 +62,6 @@ class ExperimentConfig:
     control_delta: float = 1e-2
     control_q_target: float = 0.95
     control_epsilon_target: float = 0.1
-    raw: dict = field(default_factory=dict)
 
     @property
     def sampling_seed(self) -> int:
@@ -79,7 +70,7 @@ class ExperimentConfig:
 
 def parse_config(text: str) -> ExperimentConfig:
     sections: dict[str, dict] = {"domain": {}, "solver": {}, "noise": {}, "control": {}, "top": {}}
-    raw: dict[str, str] = {}
+    seen: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -89,14 +80,14 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in raw:
+        if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         section, name, conv = _KEYS[key]
         try:
             sections[section][name] = conv(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-        raw[key] = value
+        seen.add(key)
 
     try:
         domain = DomainSpec(**{"length": 4.0, "viscosity": 0.1, **sections["domain"]})
@@ -127,7 +118,6 @@ def parse_config(text: str) -> ExperimentConfig:
         control_delta=ctl.get("delta", 1e-2),
         control_q_target=ctl.get("q_target", 0.95),
         control_epsilon_target=ctl.get("epsilon_target", 0.1),
-        raw=raw,
     )
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "SolverConfig",
     "Trajectory",
     "nonlinearity",
-    "step",
     "flow",
     "time_one_map",
     "energy_identity_residual",
@@ -61,8 +60,6 @@ class Trajectory:
     norm_h_sq: np.ndarray
     bracket_sq: np.ndarray
     forcing_inner: np.ndarray  # <eta(t_i), u(t_i)>
-    spec: DomainSpec
-    cfg: SolverConfig
     forcing: list = field(default_factory=list)
 
     @property
@@ -99,14 +96,6 @@ def nonlinearity(u: np.ndarray, spec: DomainSpec, cfg: SolverConfig | None = Non
     """B(u): dealiased pseudo-spectral evaluation of the projected advection."""
     cfg = cfg or SolverConfig()
     return _advection(u, grid_operators(spec, cfg.nx, cfg.nyq))
-
-
-def step(u: np.ndarray, forcing_value: np.ndarray, spec: DomainSpec,
-         cfg: SolverConfig) -> np.ndarray:
-    """One exponential-Euler substep with the given forcing value."""
-    ops = grid_operators(spec, cfg.nx, cfg.nyq)
-    decay, gain = _factors(spec, cfg.dt)
-    return decay * u + gain * (forcing_value - _advection(u, ops))
 
 
 def _kick_forcing(kicks: list, t_loc: np.ndarray, n: int) -> np.ndarray:
@@ -157,7 +146,7 @@ def flow(u0: np.ndarray, eta, spec: DomainSpec, cfg: SolverConfig,
     norm_h_sq = sq.sum(axis=1)
     bracket_sq = (sq * (alpha - 0.5 * lam1)[None, :]).sum(axis=1)
     forcing_inner = (f_node * states).sum(axis=1)
-    return Trajectory(times, states, norm_h_sq, bracket_sq, forcing_inner, spec, cfg, kicks)
+    return Trajectory(times, states, norm_h_sq, bracket_sq, forcing_inner, kicks)
 
 
 def time_one_map(u0: np.ndarray, eta, spec: DomainSpec, cfg: SolverConfig) -> np.ndarray:

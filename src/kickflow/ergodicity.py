@@ -1,9 +1,9 @@
 """Markov-chain driver and measure-level diagnostics.
 
 Ensembles are weighted particle sets advanced with per-particle
-counter-based kick streams, so results are independent of sampling order
-and worker count.  The dual-Lipschitz distance is certified from below
-by a dictionary of clamped linear functionals plus exact one-dimensional
+counter-based kick streams, so results are independent of sampling
+order.  The dual-Lipschitz distance is certified from below by a
+dictionary of clamped linear functionals plus exact one-dimensional
 bounded-Lipschitz distances of projected samples.  Each of those is the
 maximum over the sup/Lipschitz budget split of a concave piecewise-linear
 function, evaluated by a slope-tracking dynamic programme and maximised
@@ -14,21 +14,19 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._blas import single_threaded_blas
 from .basis import DomainSpec, eigenvalues, poincare_constant
-from .dynamics import SolverConfig, advance_columns, time_one_map
+from .dynamics import SolverConfig, advance_columns
 from .errors import InsufficientDataError
-from .noise import NoiseSpec, amplitudes, kick_rng, sample_kick, sample_xi, support_bound
+from .noise import NoiseSpec, amplitudes, kick_rng, sample_xi, support_bound
 
 __all__ = [
     "EmpiricalEnsemble",
     "TestDictionary",
-    "markov_run",
     "make_compact",
     "ensemble_step",
     "krylov_average",
@@ -85,19 +83,6 @@ def make_compact(spec: DomainSpec, radius: float, n_points: int, seed: int,
     )
 
 
-def markov_run(u0: np.ndarray, n_kicks: int, seed: int, spec: DomainSpec,
-               cfg: SolverConfig, noise: NoiseSpec, traj_id: int = 0) -> np.ndarray:
-    """States at integer times 0..n_kicks for one seeded kick sequence."""
-    states = np.empty((n_kicks + 1, spec.n_modes))
-    states[0] = u0
-    u = np.array(u0, dtype=float)
-    for k in range(n_kicks):
-        eta = sample_kick(noise, spec, kick_rng(seed, traj_id, k))
-        u = time_one_map(u, eta, spec, cfg)
-        states[k + 1] = u
-    return states
-
-
 def _sample_ensemble_kicks(ens: EmpiricalEnsemble, spec: DomainSpec,
                            noise: NoiseSpec) -> np.ndarray:
     """(N, P, K) kick coefficients, one independent stream per particle."""
@@ -110,28 +95,17 @@ def _sample_ensemble_kicks(ens: EmpiricalEnsemble, spec: DomainSpec,
 
 
 def ensemble_step(ens: EmpiricalEnsemble, spec: DomainSpec, cfg: SolverConfig,
-                  noise: NoiseSpec, workers: int = 1) -> EmpiricalEnsemble:
+                  noise: NoiseSpec) -> EmpiricalEnsemble:
     """Push the ensemble forward by one kick (one application of P*_1).
 
-    BLAS runs on one thread while the columns advance; ``workers`` threads,
-    each with its own share of the columns, are the only parallelism.
+    All columns advance as one stack, with BLAS on one thread.
     """
     if ens.n_particles == 0:
         return EmpiricalEnsemble(ens.particles, ens.weights, ens.kick_index + 1,
                                  ens.master_seed, ens.particle_ids)
     coeffs = _sample_ensemble_kicks(ens, spec, noise)
-    cols = ens.particles.T  # (K, N)
     with single_threaded_blas():
-        if workers <= 1 or ens.n_particles < 2 * workers:
-            new_cols = advance_columns(cols, coeffs, spec, cfg)
-        else:
-            chunks = np.array_split(np.arange(ens.n_particles), workers)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(
-                    lambda idx: advance_columns(cols[:, idx], coeffs[idx], spec, cfg),
-                    chunks,
-                ))
-            new_cols = np.concatenate(parts, axis=1)
+        new_cols = advance_columns(ens.particles.T, coeffs, spec, cfg)
     return EmpiricalEnsemble(new_cols.T, ens.weights.copy(), ens.kick_index + 1,
                              ens.master_seed, ens.particle_ids)
 

@@ -55,7 +55,7 @@ CKPT_MAGIC = "KICKFLOW-CKPT v1"
 ROWS_MAGIC = "KICKFLOW-ROWS v1"
 
 # smallest value each count option accepts
-MIN_COUNTS = {"kicks": 0, "steps": 1, "pairs": 1, "particles": 1, "draws": 1, "workers": 1}
+MIN_COUNTS = {"kicks": 0, "steps": 1, "pairs": 1, "particles": 1, "draws": 1}
 
 # noise-check: kicks checked against the support bound, and draws for the
 # P_M/Q_M correlation
@@ -177,13 +177,62 @@ def _check_options(ec: ExperimentConfig, opts: dict) -> None:
         raise ConfigError(str(exc)) from exc
 
 
+def _resolve_kick(ec: ExperimentConfig, text: str):
+    """The kick named by 'seed:<n>' or by a kick file path."""
+    spec = ec.domain
+    if text.startswith("seed:"):
+        return sample_kick(ec.noise, spec, kick_rng(_seed_suffix(text), 0, 0))
+    eta = _read_input(load_kick, text)
+    if eta.coeffs.shape[1] != spec.n_modes:
+        raise ConfigError(f"kick file has K={eta.coeffs.shape[1]}, "
+                          f"domain needs K={spec.n_modes}")
+    return eta
+
+
+def _mix_start(ec: ExperimentConfig, opts: dict):
+    """(ens_a, ens_b, rows) at the first kick that ``mix`` has still to run."""
+    spec = ec.domain
+    n_kicks = opts.get("kicks", 25)
+    resume = opts.get("resume")
+    if not resume:
+        n_particles = opts.get("particles", 512)
+        seed = ec.sampling_seed
+        ens_a = make_compact(spec, 1.0, n_particles, seed, id_offset=0)
+        ens_b = _load_compact(ec, opts.get("compact", "r3"), n_particles, seed,
+                              id_offset=10_000_000)
+        return ens_a, ens_b, []
+    ens_a, ens_b = checkpoint_load(resume, expect_k=spec.n_modes)
+    if ens_a.kick_index > n_kicks:
+        raise ConfigError(f"checkpoint {resume} is at kick {ens_a.kick_index}, "
+                          f"past the requested {n_kicks} kicks")
+    # the rows before the checkpoint, so that the outputs and fits match the
+    # uninterrupted run's
+    return ens_a, ens_b, _rows_load(resume, ens_a.kick_index)
+
+
+def _resolve_inputs(ec: ExperimentConfig, opts: dict) -> None:
+    """Replace the fields, kicks and ensembles that ``opts`` names by their values.
+
+    Runs before the output directory is made, so that a bad input leaves
+    nothing behind.
+    """
+    spec = ec.domain
+    if ec.experiment in ("simulate", "linearize"):
+        default = "zero" if ec.experiment == "simulate" else "random:0"
+        opts["u0"] = _resolve_u0(spec, opts.get("u0", default))
+    if ec.experiment == "linearize":
+        opts["kick"] = _resolve_kick(ec, opts.get("kick", f"seed:{ec.sampling_seed}"))
+    if ec.experiment == "mix":
+        opts["start"] = _mix_start(ec, opts)
+
+
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
 
 def _run_simulate(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
     spec, cfg = ec.domain, ec.solver
-    u = _resolve_u0(spec, opts.get("u0", "zero"))
+    u = opts["u0"]
     n_kicks = opts.get("kicks", 10)
     seed = ec.sampling_seed
     rows = []
@@ -202,16 +251,7 @@ def _run_simulate(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
 
 def _run_linearize(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
     spec, cfg = ec.domain, ec.solver
-    u0 = _resolve_u0(spec, opts.get("u0", "random:0"))
-    kick_text = opts.get("kick", f"seed:{ec.sampling_seed}")
-    if kick_text.startswith("seed:"):
-        eta = sample_kick(ec.noise, spec, kick_rng(_seed_suffix(kick_text), 0, 0))
-    else:
-        eta = _read_input(load_kick, kick_text)
-        if eta.coeffs.shape[1] != spec.n_modes:
-            raise ConfigError(f"kick file has K={eta.coeffs.shape[1]}, "
-                              f"domain needs K={spec.n_modes}")
-    base = flow(u0, eta, spec, cfg)
+    base = flow(opts["u0"], opts["kick"], spec, cfg)
     ops = linearize_kick(base, spec, cfg, ec.noise)
     sig = compactness_diagnostic(ops)
     em.write_csv("psi1_diagonal.csv", "index,psi1", list(enumerate(ops.psi1)))
@@ -298,29 +338,12 @@ def _load_compact(ec: ExperimentConfig, name: str, n_particles: int,
 
 def _run_mix(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
     spec, cfg, noise = ec.domain, ec.solver, ec.noise
-    n_particles = opts.get("particles", 512)
     n_kicks = opts.get("kicks", 25)
-    workers = opts.get("workers", 1)
-    compact = opts.get("compact", "r3")
-    seed = ec.sampling_seed
-    resume = opts.get("resume")
     ckpt = opts.get("checkpoint")
+    ens_a, ens_b, rows = opts["start"]
+    n_particles = ens_a.n_particles
 
     dic = default_test_dictionary(spec)
-    if resume:
-        ens_a, ens_b = checkpoint_load(resume, expect_k=spec.n_modes)
-        if ens_a.kick_index > n_kicks:
-            raise ConfigError(f"checkpoint {resume} is at kick {ens_a.kick_index}, "
-                              f"past the requested {n_kicks} kicks")
-        # the rows before the checkpoint, so that the outputs and fits match
-        # the uninterrupted run's
-        rows = _rows_load(resume, ens_a.kick_index)
-        n_particles = ens_a.n_particles
-    else:
-        ens_a = make_compact(spec, 1.0, n_particles, seed, id_offset=0)
-        ens_b = _load_compact(ec, compact, n_particles, seed, id_offset=10_000_000)
-        rows = []
-
     lam = eigenvalues(spec)
     lam_cut = float(np.median(lam))
     for k in range(len(rows), n_kicks + 1):
@@ -331,8 +354,8 @@ def _run_mix(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
         rows.append((k, dist, floor_k, tail_max, mean_nh))
         log.info("mix k=%d dist=%.4g floor=%.4g", k, dist, floor_k)
         if k < n_kicks:
-            ens_a = ensemble_step(ens_a, spec, cfg, noise, workers=workers)
-            ens_b = ensemble_step(ens_b, spec, cfg, noise, workers=workers)
+            ens_a = ensemble_step(ens_a, spec, cfg, noise)
+            ens_b = ensemble_step(ens_b, spec, cfg, noise)
             if ckpt:
                 checkpoint_save(ens_a, ens_b, ckpt)
                 _rows_save(rows, ckpt)
@@ -451,6 +474,7 @@ def run(ec: ExperimentConfig, opts: dict | None = None) -> RunManifest:
     opts = dict(opts or {})
     out_dir = Path(opts.pop("out", None) or ec.out_dir)
     _check_options(ec, opts)
+    _resolve_inputs(ec, opts)
     em = _Emitter(out_dir)
     manifest = RunManifest(config=config_snapshot(ec), experiment=ec.experiment)
     t0 = time.perf_counter()

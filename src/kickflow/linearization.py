@@ -25,7 +25,6 @@ __all__ = [
     "linearize_kick",
     "gram_limit_check",
     "compactness_diagnostic",
-    "tail_index",
 ]
 
 
@@ -158,8 +157,3 @@ def compactness_diagnostic(ops: TangentOperators) -> np.ndarray:
     """Singular values of psi2, descending."""
     return np.linalg.svd(ops.psi2, compute_uv=False)
 
-
-def tail_index(sigmas: np.ndarray, eps: float) -> int:
-    """Smallest j with sigma_j <= eps (0-based; len(sigmas) if none)."""
-    idx = np.nonzero(sigmas <= eps)[0]
-    return int(idx[0]) if idx.size else len(sigmas)

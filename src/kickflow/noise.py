@@ -140,7 +140,7 @@ def kick_rng(master_seed: int, traj_id: int, kick_index: int) -> np.random.Gener
     """Counter-based stream for one (trajectory, kick) pair.
 
     Keys a Philox generator by the full lineage tuple, so ensembles are
-    reproducible independently of sampling order and worker count.
+    reproducible independently of sampling order.
     """
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(traj_id, kick_index))
     return np.random.Generator(np.random.Philox(ss))

@@ -63,12 +63,12 @@ def ensemble_histories():
     max_sq = [float((hist3[0].particles ** 2).sum(axis=1).max())]
     ens3 = hist3[0]
     for k in range(100):
-        ens3 = ensemble_step(ens3, SPEC, CFG, NOISE, workers=4)
+        ens3 = ensemble_step(ens3, SPEC, CFG, NOISE)
         max_sq.append(float((ens3.particles ** 2).sum(axis=1).max()))
         if k < n_dist:
             hist3.append(ens3)
     for _ in range(n_dist):
-        hist1.append(ensemble_step(hist1[-1], SPEC, CFG, NOISE, workers=4))
+        hist1.append(ensemble_step(hist1[-1], SPEC, CFG, NOISE))
     return hist1, hist3, np.array(max_sq)
 
 

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from kickflow import experiments
+from kickflow import cli, experiments
 from kickflow.basis import save_field
 from kickflow.config import config_snapshot, load_config, parse_config
 from kickflow.errors import ConfigError
@@ -170,10 +170,23 @@ class TestManifest:
 
 
 def test_cli_import_leaves_scipy_out():
-    code = "import sys, kickflow.cli; print('scipy' in sys.modules)"
+    code = ("import sys, kickflow.cli; "
+            "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip() == "False False"
+
+
+def test_unclassified_failure_is_one_json_line_with_exit_1(tmp_path, monkeypatch, capsys):
+    def broken(ec, opts):
+        raise RuntimeError("boom")
+
+    monkeypatch.delenv("KICKFLOW_LOG", raising=False)
+    monkeypatch.setattr(cli, "run", broken)
+    assert cli.main(["--out", str(tmp_path / "o"), "spectrum"]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "RuntimeError", "message": "boom", "exit_code": 1}
 
 
 class TestCoupleSummary:
@@ -304,15 +317,13 @@ BAD_INPUTS = {
     "negative-delta": ("couple", "--delta", "-1"),
     "negative-kicks": ("simulate", "--kicks", "-1"),
     "missing-kick-file": ("linearize", "--kick", "/nonexistent/eta.kick"),
+    "kick-seed-not-a-number": ("linearize", "--kick", "seed:x"),
     "missing-checkpoint": ("mix", "--resume", "/nonexistent/ck.txt"),
+    "missing-compact-file": ("mix", "--compact", "/nonexistent/points.csv"),
     "grid-below-minimum": ("--config", "{tmp}/coarse.cfg", "simulate", "--kicks", "1"),
     "out-is-a-file": ("--out", "{tmp}/file", "spectrum"),
     "out-below-a-file": ("--out", "{tmp}/file/sub", "spectrum"),
 }
-
-
-# rejected before the output directory is created
-NO_OUTPUT_DIR = {"grid-below-minimum", "out-is-a-file", "out-below-a-file"}
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
@@ -328,9 +339,7 @@ def test_bad_input_is_one_json_line_with_exit_2(tmp_path, case):
     record = json.loads(lines[0])
     assert record["error"] == "ConfigError"
     assert record["exit_code"] == 2
-    assert not (out / "manifest.json").exists()
-    if case in NO_OUTPUT_DIR:
-        assert not out.exists()
+    assert not out.exists()
 
 
 def test_non_finite_field_file_is_a_config_error(spec, tmp_path):

@@ -18,12 +18,12 @@ from kickflow.ergodicity import (
     k_star,
     krylov_average,
     make_compact,
-    markov_run,
     mc_floor,
     mixing_fit,
     tail_energy,
 )
-from kickflow.noise import support_bound
+from kickflow.dynamics import time_one_map
+from kickflow.noise import kick_rng, sample_kick, support_bound
 
 
 def _dirac(x, spec_dim):
@@ -52,20 +52,13 @@ class TestEnsembleBasics:
 
 class TestEnsembleStep:
     def test_matches_markov_run(self, spec, fast_cfg, noise):
+        """Each particle takes the Markov chain's step under its own kick stream."""
         ens = make_compact(spec, 0.5, 3, seed=7)
         stepped = ensemble_step(ens, spec, fast_cfg, noise)
         for i, pid in enumerate(ens.particle_ids):
-            path = markov_run(ens.particles[i], 1, ens.master_seed, spec, fast_cfg,
-                              noise, traj_id=int(pid))
-            assert np.abs(stepped.particles[i] - path[1]).max() < 1e-13
-
-    def test_worker_count_invariance(self, spec, fast_cfg, noise):
-        ens = make_compact(spec, 0.5, 8, seed=7)
-        serial = ensemble_step(ens, spec, fast_cfg, noise, workers=1)
-        parallel = ensemble_step(ens, spec, fast_cfg, noise, workers=4)
-        again = ensemble_step(ens, spec, fast_cfg, noise, workers=4)
-        assert np.array_equal(parallel.particles, again.particles)
-        assert np.abs(serial.particles - parallel.particles).max() < 1e-13
+            eta = sample_kick(noise, spec, kick_rng(ens.master_seed, int(pid), 0))
+            single = time_one_map(ens.particles[i], eta, spec, fast_cfg)
+            assert np.abs(stepped.particles[i] - single).max() < 1e-13
 
     def test_blas_threads_restored(self, spec, fast_cfg, noise):
         before = blas_threads()
@@ -76,7 +69,7 @@ class TestEnsembleStep:
                 assert blas_threads() == 1
             assert blas_threads() == 1
         assert blas_threads() == before
-        ensemble_step(make_compact(spec, 0.5, 8, seed=7), spec, fast_cfg, noise, workers=2)
+        ensemble_step(make_compact(spec, 0.5, 8, seed=7), spec, fast_cfg, noise)
         assert blas_threads() == before
 
     def test_kick_index_advances(self, spec, fast_cfg, noise):

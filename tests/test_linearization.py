@@ -11,7 +11,6 @@ from kickflow.linearization import (
     compactness_diagnostic,
     gram_limit_check,
     linearize_kick,
-    tail_index,
 )
 from kickflow.noise import KickPath, kick_rng, legendre_values, sample_kick
 
@@ -97,8 +96,7 @@ class TestTangentMap:
     def test_requires_recorded_substeps(self, spec, fast_cfg, noise):
         from kickflow.dynamics import Trajectory
 
-        broken = Trajectory(np.zeros(1), np.zeros((1, spec.n_modes)), None, None,
-                            None, spec, fast_cfg)
+        broken = Trajectory(np.zeros(1), np.zeros((1, spec.n_modes)), None, None, None)
         with pytest.raises(ValueError):
             linearize_kick(broken, spec, fast_cfg, noise)
 
@@ -129,12 +127,6 @@ class TestPsiSplit:
         sig = compactness_diagnostic(ops)
         assert sig[19] <= 0.1 * sig[0]
         assert np.all(np.diff(sig) <= 1e-15)
-
-    def test_tail_index(self):
-        sig = np.array([1.0, 0.5, 0.01, 0.001])
-        assert tail_index(sig, 0.1) == 2
-        assert tail_index(sig, 1e-9) == 4
-        assert tail_index(sig, 2.0) == 0
 
 
 class TestForcingDerivative:
