@@ -142,7 +142,7 @@ def min_grid(spec: DomainSpec) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class GridOperators:
-    """Dense synthesis/analysis matrices for one (spec, grid) pair.
+    """Synthesis/analysis matrices and their 1-D factors for one (spec, grid) pair.
 
     Every eigenfield is e_k = grad-perp psi_k = (d_y psi_k, -d_x psi_k), and
     its vorticity is omega_k = alpha_k psi_k.  ``syn4`` maps coefficient
@@ -155,12 +155,36 @@ class GridOperators:
     u2*omega_y)`` is the projected advection.  The integrand is a product of
     three band-limited fields, which the dealiased grid integrates exactly,
     so this equals the velocity form up to rounding.
+
+    The stream functions are products psi_k = s_k E_m(x) sin(k_y y), so both
+    matrices factor into 1-D tables over the (2*mx + 1) x ny grid of
+    (m, n) slots, slot (m + mx) * ny + (n - 1):
+
+    - ``ex``, ``dex`` (nx, 2*mx + 1): E_m and its x derivative;
+    - ``cy``, ``sy`` (nyq + 1, ny): k_y cos(k_y y) and sin(k_y y);
+    - ``exw`` (2*mx + 1, nx), ``syw`` (ny, nyq + 1): ``ex`` and ``sy``
+      times the trapezoid weights, transposed, for the analysis;
+    - ``scale``, ``alpha`` (2*mx + 1, ny): s_k and alpha_k by slot;
+    - ``slot`` (K,): the slot of each mode in eigenvalue order, a
+      permutation of range(K).
+
+    Then psi_k = scale * ex (x) sy, u1 = scale * ex (x) cy and
+    u2 = -scale * dex (x) sy, which is how ``syn4`` and ``ana1`` are built.
     """
 
     nx: int
     nyq: int
     syn4: np.ndarray  # (4*npts, K)
     ana1: np.ndarray  # (K, npts)
+    ex: np.ndarray
+    dex: np.ndarray
+    cy: np.ndarray
+    sy: np.ndarray
+    exw: np.ndarray
+    syw: np.ndarray
+    scale: np.ndarray
+    alpha: np.ndarray
+    slot: np.ndarray
 
     @property
     def n_points(self) -> int:
@@ -182,45 +206,59 @@ def grid_operators(spec: DomainSpec, nx: int | None = None, nyq: int | None = No
     L = spec.length
     x = L * np.arange(nx) / nx
     y = np.arange(nyq + 1) / nyq
-    wx = np.full(nx, L / nx)
-    wy = np.full(nyq + 1, 1.0 / nyq)
-    wy[0] *= 0.5
-    wy[-1] *= 0.5
-    w = np.outer(wx, wy).ravel()
+    qx = np.full(nx, L / nx)
+    qy = np.full(nyq + 1, 1.0 / nyq)
+    qy[0] *= 0.5
+    qy[-1] *= 0.5
+    w = np.outer(qx, qy).ravel()
 
-    modes = mode_table(spec)
-    K = len(modes)
+    ms = range(-spec.mx, spec.mx + 1)
+    ex = np.empty((nx, len(ms)))
+    dex = np.empty((nx, len(ms)))
+    scale = np.empty((len(ms), spec.ny))
+    alpha = np.empty((len(ms), spec.ny))
+    for i, m in enumerate(ms):
+        kx = 2.0 * math.pi * abs(m) / L
+        if m >= 0:
+            ex[:, i] = np.cos(kx * x)
+            dex[:, i] = -kx * np.sin(kx * x)
+        else:
+            ex[:, i] = np.sin(kx * x)
+            dex[:, i] = kx * np.cos(kx * x)
+        cx = L if m == 0 else L / 2.0
+        for j in range(spec.ny):
+            ky = math.pi * (j + 1)
+            alpha[i, j] = kx * kx + ky * ky
+            scale[i, j] = 1.0 / math.sqrt(alpha[i, j] * cx * 0.5)
+    cy = np.empty((nyq + 1, spec.ny))
+    sy = np.empty((nyq + 1, spec.ny))
+    for j in range(spec.ny):
+        ky = math.pi * (j + 1)
+        cy[:, j] = ky * np.cos(ky * y)
+        sy[:, j] = np.sin(ky * y)
+    slot = np.array([(mo.m + spec.mx) * spec.ny + mo.n - 1 for mo in mode_table(spec)])
+
+    # columns in eigenvalue order; u = (d_y psi, -d_x psi) with
+    # psi = scale * ex * sy, and grad omega = alpha grad psi = alpha (-u2, u1)
+    mi, nj = np.divmod(slot, spec.ny)
+    s = scale[mi, nj]
+    a = alpha[mi, nj]
     npts = nx * (nyq + 1)
+    K = len(slot)
     syn = np.empty((4, npts, K))
     u1, u2, wx, wy = syn
-    psi = np.empty((npts, K))
-    for j, mo in enumerate(modes):
-        kx = 2.0 * math.pi * abs(mo.m) / L
-        ky = math.pi * mo.n
-        alpha = kx * kx + ky * ky
-        cx = L if mo.m == 0 else L / 2.0
-        scale = 1.0 / math.sqrt(alpha * cx * 0.5)
-        if mo.m >= 0:
-            ex = np.cos(kx * x)
-            dex = -kx * np.sin(kx * x)
-        else:
-            ex = np.sin(kx * x)
-            dex = kx * np.cos(kx * x)
-        sy = np.sin(ky * y)
-        cy = np.cos(ky * y)
-        # u = (d_y psi, -d_x psi) with psi = scale * ex * sy, and
-        # grad omega = alpha grad psi = alpha (-u2, u1)
-        psi[:, j] = scale * np.outer(ex, sy).ravel()
-        u1[:, j] = scale * np.outer(ex, ky * cy).ravel()
-        u2[:, j] = -scale * np.outer(dex, sy).ravel()
-        wx[:, j] = -alpha * u2[:, j]
-        wy[:, j] = alpha * u1[:, j]
-
+    u1[:] = s * (ex[:, None, mi] * cy[None, :, nj]).reshape(npts, K)
+    u2[:] = -s * (dex[:, None, mi] * sy[None, :, nj]).reshape(npts, K)
+    wx[:] = -a * u2
+    wy[:] = a * u1
     syn4 = syn.reshape(4 * npts, K)
+    psi = s * (ex[:, None, mi] * sy[None, :, nj]).reshape(npts, K)
     ana1 = (psi * w[:, None]).T.copy()
-    for mat in (syn4, ana1):
-        mat.setflags(write=False)
-    return GridOperators(nx, nyq, syn4, ana1)
+    exw = (ex * qx[:, None]).T.copy()
+    syw = (sy * qy[:, None]).T.copy()
+    for arr in (syn4, ana1, ex, dex, cy, sy, exw, syw, scale, alpha, slot):
+        arr.setflags(write=False)
+    return GridOperators(nx, nyq, syn4, ana1, ex, dex, cy, sy, exw, syw, scale, alpha, slot)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import logging
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -84,7 +85,7 @@ class RunManifest:
 
 
 class _Emitter:
-    """Collects output files and their content hashes for the manifest."""
+    """Collects output files, their content hashes and stage timings for the manifest."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
@@ -93,6 +94,16 @@ class _Emitter:
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
         self.records = []
+        self.stages = {}
+
+    @contextmanager
+    def timed(self, stage: str):
+        """Add the block's wall time to ``stages[stage]``."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stages[stage] = self.stages.get(stage, 0.0) + time.perf_counter() - t0
 
     def write_text(self, name: str, text: str) -> Path:
         path = self.out_dir / name
@@ -346,19 +357,23 @@ def _run_mix(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
     dic = default_test_dictionary(spec)
     lam = eigenvalues(spec)
     lam_cut = float(np.median(lam))
+    em.stages.update(dict.fromkeys(("ensemble_step", "distances", "checkpoint"), 0.0))
     for k in range(len(rows), n_kicks + 1):
-        dist = dual_lipschitz_lower(ens_a, ens_b, dic)
-        floor_k = _split_half_floor(ens_b, dic)
+        with em.timed("distances"):
+            dist = dual_lipschitz_lower(ens_a, ens_b, dic)
+            floor_k = _split_half_floor(ens_b, dic)
         _, tail_max = tail_energy(ens_b, lam_cut, spec)
         mean_nh = float(np.linalg.norm(ens_b.particles, axis=1).mean())
         rows.append((k, dist, floor_k, tail_max, mean_nh))
         log.info("mix k=%d dist=%.4g floor=%.4g", k, dist, floor_k)
         if k < n_kicks:
-            ens_a = ensemble_step(ens_a, spec, cfg, noise)
-            ens_b = ensemble_step(ens_b, spec, cfg, noise)
+            with em.timed("ensemble_step"):
+                ens_a = ensemble_step(ens_a, spec, cfg, noise)
+                ens_b = ensemble_step(ens_b, spec, cfg, noise)
             if ckpt:
-                checkpoint_save(ens_a, ens_b, ckpt)
-                _rows_save(rows, ckpt)
+                with em.timed("checkpoint"):
+                    checkpoint_save(ens_a, ens_b, ckpt)
+                    _rows_save(rows, ckpt)
     em.write_csv("mix_distances.csv", "k,dist_lower,floor,tail_energy_max,mean_normH", rows)
 
     floor_est = float(np.median([r[2] for r in rows]))
@@ -479,6 +494,7 @@ def run(ec: ExperimentConfig, opts: dict | None = None) -> RunManifest:
     manifest = RunManifest(config=config_snapshot(ec), experiment=ec.experiment)
     t0 = time.perf_counter()
     _RUNNERS[ec.experiment](ec, opts, em)
+    manifest.stages.update(em.stages)
     manifest.stages[ec.experiment] = time.perf_counter() - t0
     manifest.wall_clock_s = time.perf_counter() - t0
     manifest.outputs = em.records

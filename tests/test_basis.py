@@ -121,6 +121,33 @@ class TestGridTransforms:
         gram = u1.T @ (w[:, None] * u1) + u2.T @ (w[:, None] * u2)
         assert np.abs(gram - np.eye(spec.n_modes)).max() < 1e-13
 
+    @pytest.mark.parametrize("factor", [1, 2], ids=["minimal", "doubled"])
+    def test_dense_matrices_from_factors(self, spec, factor):
+        """``syn4`` and ``ana1`` are exactly the products of the 1-D factors."""
+        nx, nyq = (factor * n for n in min_grid(spec))
+        ops = grid_operators(spec, nx, nyq)
+        K, npts = spec.n_modes, ops.n_points
+        assert np.array_equal(np.sort(ops.slot), np.arange(K))
+        qx = np.full(nx, spec.length / nx)
+        qy = np.full(nyq + 1, 1.0 / nyq)
+        qy[[0, -1]] *= 0.5
+        assert np.array_equal(ops.exw, (ops.ex * qx[:, None]).T)
+        assert np.array_equal(ops.syw, (ops.sy * qy[:, None]).T)
+        syn = np.empty((4, npts, K))
+        ana = np.empty((K, npts))
+        for j, mo in enumerate(mode_table(spec)):
+            i, n = mo.m + spec.mx, mo.n - 1
+            assert ops.slot[j] == i * spec.ny + n
+            s, a = ops.scale[i, n], ops.alpha[i, n]
+            u1 = s * np.outer(ops.ex[:, i], ops.cy[:, n]).ravel()
+            u2 = -s * np.outer(ops.dex[:, i], ops.sy[:, n]).ravel()
+            syn[:, :, j] = u1, u2, -a * u2, a * u1
+            ana[j] = s * np.outer(ops.ex[:, i], ops.sy[:, n]).ravel() * np.outer(qx, qy).ravel()
+        assert np.array_equal(syn.reshape(4 * npts, K), ops.syn4)
+        assert np.array_equal(ana, ops.ana1)
+        # BLAS rounds a product with an F-ordered matrix differently
+        assert ops.syn4.flags.c_contiguous and ops.ana1.flags.c_contiguous
+
     def test_divergence_free_on_grid(self, spec):
         """Free-slip walls: the normal velocity vanishes at y = 0 and y = 1."""
         ops = grid_operators(spec)

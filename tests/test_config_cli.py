@@ -168,6 +168,14 @@ class TestManifest:
             assert digest == rec["sha256"]
         assert manifest.outputs == data["outputs"]
 
+    def test_mix_stage_timings(self, tmp_path):
+        ec = parse_config(FAST_LINES + "experiment = mix\nout_dir = " + str(tmp_path / "m"))
+        run(ec, {"particles": 8, "kicks": 2, "checkpoint": str(tmp_path / "ck.txt")})
+        stages = json.loads((tmp_path / "m" / "manifest.json").read_text())["stages"]
+        parts = [stages[name] for name in ("ensemble_step", "distances", "checkpoint")]
+        assert all(t > 0 for t in parts)
+        assert sum(parts) <= stages["mix"]
+
 
 def test_cli_import_leaves_scipy_out():
     code = ("import sys, kickflow.cli; "

@@ -161,3 +161,17 @@ class TestBatchedAdvance:
         for i in range(3):
             single = time_one_map(states[:, i], None, spec, fast_cfg)
             assert np.abs(batch[:, i] - single).max() < 1e-13
+
+    def test_non_finite_column_raises(self, spec, fast_cfg, rng):
+        states = rng.standard_normal((spec.n_modes, 3)) * 0.1
+        states[:, 1] = np.nan
+        with pytest.raises(FloatingPointError):
+            advance_columns(states, None, spec, fast_cfg)
+
+    def test_divergence_detection(self, spec):
+        cfg = SolverConfig(dt=0.01, blowup_threshold=1e-3)
+        states = np.full((spec.n_modes, 2), 0.1)
+        with pytest.raises(DivergedTrajectoryError) as err:
+            advance_columns(states, None, spec, cfg)
+        assert err.value.exit_code == 3
+        assert err.value.step_index == 0

@@ -1,10 +1,11 @@
-"""The vorticity-form advection kernel against the velocity-form reference.
+"""The advection kernels against the velocity-form reference and each other.
 
 The reference synthesises the six velocity fields u1, u2, u1x, u1y, u2x,
 u2y of every eigenfield, forms (u . grad) u component by component and
 projects it back with the quadrature-weighted velocity analysis.  It is
 built here from the mode table alone, so it shares no matrix with
-``GridOperators``.
+``GridOperators``.  The dense kernel ``_advection`` (used by ``flow``) is
+in turn the reference for the separable kernel of ``advance_columns``.
 """
 
 import math
@@ -12,10 +13,18 @@ import math
 import numpy as np
 import pytest
 
-from kickflow import DomainSpec, SolverConfig
-from kickflow.basis import min_grid, mode_table
-from kickflow.dynamics import nonlinearity
+from kickflow import DomainSpec, NoiseSpec, SolverConfig
+from kickflow.basis import grid_operators, min_grid, mode_table
+from kickflow.dynamics import (
+    _advection,
+    _factors,
+    _separable_advection,
+    _separable_work,
+    advance_columns,
+    nonlinearity,
+)
 from kickflow.linearization import bilinear_q
+from kickflow.noise import amplitudes, kick_rng, legendre_values, sample_xi
 
 BOUND = 1e-12  # relative to the output's max-abs
 
@@ -104,3 +113,57 @@ def test_bilinear_q_matches_velocity_form(grid, n_cols):
     a = _state(spec, 1, seed=7)
     b = _state(spec, n_cols, seed=n_cols + 1)
     assert _rel_err(bilinear_q(a, b, spec, cfg), reference_q(a, b, syn, ana)) <= BOUND
+
+
+def separable_b(u, ops):
+    """The separable kernel on a (K,) or (K, n) eigen-order input."""
+    cols = u.reshape(u.shape[0], -1)[np.argsort(ops.slot)]
+    out = _separable_advection(cols, ops, _separable_work(ops, cols.shape[1]))
+    return out[ops.slot].reshape(u.shape)
+
+
+@pytest.mark.parametrize("n_cols", [1, 165, 512])
+def test_separable_advection_matches_dense_and_velocity_form(grid, n_cols):
+    spec, cfg, (syn, ana) = grid
+    ops = grid_operators(spec, cfg.nx, cfg.nyq)
+    u = _state(spec, n_cols, seed=n_cols)
+    got = separable_b(u, ops)
+    assert _rel_err(got, _advection(u, ops)) <= BOUND
+    assert _rel_err(got, reference_b(u, syn, ana)) <= BOUND
+
+
+def dense_advance_columns(states, kick_coeffs, spec, cfg):
+    """The column stepper on the dense transforms, in eigenvalue order."""
+    ops = grid_operators(spec, cfg.nx, cfg.nyq)
+    decay, gain = _factors(spec, cfg.dt)
+    u = np.array(states, dtype=float)
+    if kick_coeffs is not None:
+        tau = legendre_values(kick_coeffs.shape[1], (np.arange(cfg.n_substeps) + 0.5) * cfg.dt)
+        coeffs = np.transpose(kick_coeffs, (1, 2, 0))
+    for i in range(cfg.n_substeps):
+        f = np.tensordot(tau[i], coeffs, axes=1) if kick_coeffs is not None else 0.0
+        u = decay[:, None] * u + gain[:, None] * (f - _advection(u, ops))
+    return u
+
+
+def make_states(spec, n):
+    """States on spheres of radius 1 to 3 in the leading eight modes, as ``mix`` starts."""
+    rng = np.random.default_rng(5)
+    states = np.zeros((spec.n_modes, n))
+    states[:8] = rng.standard_normal((8, n))
+    return states * np.linspace(1.0, 3.0, n) / np.linalg.norm(states, axis=0)
+
+
+@pytest.mark.parametrize("kicked", [True, False], ids=["kicked", "unforced"])
+def test_advance_columns_matches_dense_stepper(spec, kicked):
+    """One full kick at the default substep on 64 columns, each with its own kick."""
+    cfg = SolverConfig()
+    n = 64
+    states = make_states(spec, n)
+    coeffs = None
+    if kicked:
+        b = amplitudes(NoiseSpec(), spec)
+        coeffs = np.stack([b * sample_xi(kick_rng(11, i, 0), b.shape) for i in range(n)])
+    got = advance_columns(states, coeffs, spec, cfg)
+    assert _rel_err(got, dense_advance_columns(states, coeffs, spec, cfg)) <= BOUND
+

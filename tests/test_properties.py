@@ -1,5 +1,5 @@
-"""Property tests of the advection kernel, the tangent map, and the field
-and kick files."""
+"""Property tests of the advection kernel, the tangent map, and the field,
+kick and checkpoint files."""
 
 import tempfile
 from functools import lru_cache
@@ -13,6 +13,8 @@ from hypothesis.extra import numpy as hnp
 from kickflow import DomainSpec, KickPath, NoiseSpec, SolverConfig
 from kickflow.basis import load_field, norms, save_field
 from kickflow.dynamics import flow, nonlinearity
+from kickflow.ergodicity import EmpiricalEnsemble
+from kickflow.experiments import checkpoint_load, checkpoint_save
 from kickflow.linearization import _propagate, bilinear_q
 from kickflow.noise import kick_rng, load_kick, sample_kick, save_kick
 
@@ -119,3 +121,32 @@ def test_kick_file_round_trip(coeffs):
         path = Path(tmp) / "eta.kick"
         save_kick(KickPath(coeffs), path)
         assert load_kick(path).coeffs.tobytes() == coeffs.tobytes()
+
+
+coefficients = st.one_of(st.just(0.0), st.just(-0.0), st.floats(1e-300, 1e6),
+                         st.floats(-1e6, -1e-300))
+
+
+@st.composite
+def ensembles(draw):
+    n = draw(st.integers(1, 40))
+    particles = draw(hnp.arrays(np.float64, (n, K), elements=coefficients))
+    mass = draw(hnp.arrays(np.float64, n, elements=st.floats(1e-3, 1.0)))
+    ids = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 2**62)))
+    kick_index = draw(st.integers(0, 10**6))
+    seed = draw(st.integers(0, 2**63 - 1))
+    return EmpiricalEnsemble(particles, mass / mass.sum(), kick_index, seed, ids)
+
+
+@settings(max_examples=50, deadline=None)
+@given(ensembles(), ensembles())
+def test_checkpoint_round_trip(a, b):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ck.txt"
+        checkpoint_save(a, b, path)
+        loaded = checkpoint_load(path, expect_k=K)
+    for got, want in zip(loaded, (a, b)):
+        assert got.particles.tobytes() == want.particles.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert np.array_equal(got.particle_ids, want.particle_ids)
+        assert (got.kick_index, got.master_seed) == (want.kick_index, want.master_seed)
