@@ -26,6 +26,7 @@ __all__ = [
     "norms",
     "bracket",
     "min_grid",
+    "dealiased_grid",
     "grid_operators",
     "save_field",
     "load_field",
@@ -140,6 +141,20 @@ def min_grid(spec: DomainSpec) -> tuple[int, int]:
     return nx, nyq
 
 
+def dealiased_grid(spec: DomainSpec, nx: int | None = None,
+                   nyq: int | None = None) -> tuple[int, int]:
+    """The grid (nx, nyq), each None replaced by its dealiasing minimum.
+
+    Raises ValueError if either size is below the minimum.
+    """
+    nx_min, nyq_min = min_grid(spec)
+    nx = nx_min if nx is None else nx
+    nyq = nyq_min if nyq is None else nyq
+    if nx < nx_min or nyq < nyq_min:
+        raise ValueError(f"grid ({nx}, {nyq}) below dealiasing minimum ({nx_min}, {nyq_min})")
+    return nx, nyq
+
+
 @dataclass(frozen=True)
 class GridOperators:
     """Synthesis/analysis matrices and their 1-D factors for one (spec, grid) pair.
@@ -194,15 +209,7 @@ class GridOperators:
 @lru_cache(maxsize=None)
 def grid_operators(spec: DomainSpec, nx: int | None = None, nyq: int | None = None) -> GridOperators:
     """Build (and cache) the transform matrices for the given grid sizes."""
-    nx_min, nyq_min = min_grid(spec)
-    if nx is None:
-        nx = nx_min
-    if nyq is None:
-        nyq = nyq_min
-    if nx < nx_min or nyq < nyq_min:
-        raise ValueError(
-            f"grid ({nx}, {nyq}) below dealiasing minimum ({nx_min}, {nyq_min})"
-        )
+    nx, nyq = dealiased_grid(spec, nx, nyq)
     L = spec.length
     x = L * np.arange(nx) / nx
     y = np.arange(nyq + 1) / nyq

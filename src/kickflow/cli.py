@@ -12,8 +12,8 @@ import logging
 import os
 import sys
 
-from .config import EXPERIMENTS, ExperimentConfig, load_config, parse_config
-from .errors import KickflowError
+from .config import ExperimentConfig, load_config, parse_config
+from .errors import ConfigError, KickflowError
 from .experiments import run
 
 __all__ = ["main", "build_parser"]
@@ -21,8 +21,16 @@ __all__ = ["main", "build_parser"]
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ConfigErrors, not usage text."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser; its subcommands declare no defaults, see ``EXPERIMENT_OPTIONS``."""
+    parser = _Parser(
         prog="kickflow",
         description="Kicked Navier-Stokes simulator and mixing diagnostics",
     )
@@ -32,59 +40,46 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="experiment", required=True)
 
     p = sub.add_parser("simulate", help="integrate one kicked trajectory")
-    p.add_argument("--u0", default="zero",
-                   help="'zero', 'random:<seed>', or a field file path")
-    p.add_argument("--kicks", type=int, default=10, help="number of unit kick intervals")
+    p.add_argument("--u0", help="'zero', 'random:<seed>', or a field file path")
+    p.add_argument("--kicks", type=int, help="number of unit kick intervals")
 
     p = sub.add_parser("linearize", help="assemble tangent operators for one kick")
-    p.add_argument("--u0", default="random:0")
-    p.add_argument("--kick", default=None,
-                   help="'seed:<n>' or a kick file path (default: seeded draw)")
+    p.add_argument("--u0")
+    p.add_argument("--kick", help="'seed:<n>' or a kick file path (default: seeded draw)")
     p.add_argument("--full", action="store_true",
                    help="also dump the dense psi2 and forcing-derivative matrices")
 
     p = sub.add_parser("couple", help="run the stabilised two-trajectory coupling")
-    p.add_argument("--delta", type=float, default=None, help="squeezing threshold")
-    p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--pairs", type=int, default=1)
+    p.add_argument("--delta", type=float, help="squeezing threshold")
+    p.add_argument("--steps", type=int)
+    p.add_argument("--pairs", type=int)
 
     p = sub.add_parser("mix", help="ensemble mixing experiment")
-    p.add_argument("--particles", type=int, default=512)
-    p.add_argument("--kicks", type=int, default=25)
-    p.add_argument("--compact", default="r3",
+    p.add_argument("--particles", type=int)
+    p.add_argument("--kicks", type=int)
+    p.add_argument("--compact",
                    help="'unit', 'r3', or a CSV of initial points for the second ensemble")
-    p.add_argument("--checkpoint", default=None, help="write a checkpoint after each kick")
-    p.add_argument("--resume", default=None, help="resume from a checkpoint file")
+    p.add_argument("--checkpoint", help="write a checkpoint after each kick")
+    p.add_argument("--resume", help="resume from a checkpoint file")
 
     p = sub.add_parser("noise-check", help="sampler moment and support diagnostics")
-    p.add_argument("--draws", type=int, default=1_000_000)
+    p.add_argument("--draws", type=int)
 
     sub.add_parser("spectrum", help="dump the mode table and absorbing constants")
     return parser
 
 
-def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    if args.config:
-        ec = load_config(args.config)
-    else:
-        ec = parse_config("")
-    ec.experiment = args.experiment
-    if ec.experiment not in EXPERIMENTS:
-        raise AssertionError(f"unreachable: {ec.experiment}")
-    if args.seed is not None:
-        ec.seed = args.seed
-    if args.out is not None:
-        ec.out_dir = args.out
+def _experiment_config(args: dict) -> ExperimentConfig:
+    """The config that the top-level arguments name; pops them from ``args``."""
+    path = args.pop("config")
+    ec = load_config(path) if path else parse_config("")
+    ec.experiment = args.pop("experiment")
+    seed, out = args.pop("seed"), args.pop("out")
+    if seed is not None:
+        ec.seed = seed
+    if out is not None:
+        ec.out_dir = out
     return ec
-
-
-def _options(args: argparse.Namespace) -> dict:
-    opts = {}
-    for name in ("u0", "kicks", "kick", "full", "delta", "steps", "pairs",
-                 "particles", "compact", "checkpoint", "resume", "draws"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            opts[name] = getattr(args, name)
-    return opts
 
 
 def _fail(exc: Exception, exit_code: int) -> int:
@@ -98,10 +93,11 @@ def main(argv=None) -> int:
     level = os.environ.get("KICKFLOW_LOG", "error").lower()
     logging.basicConfig(level=_LOG_LEVELS.get(level, logging.ERROR),
                         format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
     try:
+        args = vars(build_parser().parse_args(argv))
         ec = _experiment_config(args)
-        manifest = run(ec, _options(args))
+        # what is left are the subcommand's options; those not given are None
+        manifest = run(ec, {name: v for name, v in args.items() if v is not None})
     except KickflowError as exc:
         return _fail(exc, exc.exit_code)
     except Exception as exc:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .basis import DomainSpec, min_grid
+from .basis import DomainSpec, dealiased_grid
 from .dynamics import SolverConfig
 from .errors import ConfigError
 from .noise import NoiseSpec
@@ -19,7 +19,10 @@ __all__ = ["ExperimentConfig", "parse_config", "load_config", "config_snapshot"]
 EXPERIMENTS = ("simulate", "linearize", "couple", "mix", "noise-check", "spectrum")
 
 
-# key -> (target section, field name, converter)
+# key -> (section, field name, converter).  The domain, solver and noise
+# fields live on those objects, the control and top fields on
+# ExperimentConfig itself; the manifest nests each key under its section,
+# except the top fields.
 _KEYS = {
     "domain.length": ("domain", "length", float),
     "domain.viscosity": ("domain", "viscosity", float),
@@ -34,11 +37,10 @@ _KEYS = {
     "noise.s_t": ("noise", "s_t", float),
     "noise.s_x": ("noise", "s_x", float),
     "noise.seed": ("top", "noise_seed", int),
-    "control.M": ("control", "rank", int),
-    "control.gamma": ("control", "gamma", float),
-    "control.delta": ("control", "delta", float),
-    "control.q_target": ("control", "q_target", float),
-    "control.epsilon_target": ("control", "epsilon_target", float),
+    "control.M": ("control", "control_rank", int),
+    "control.gamma": ("control", "control_gamma", float),
+    "control.delta": ("control", "control_delta", float),
+    "control.epsilon_target": ("control", "control_epsilon_target", float),
     "experiment": ("top", "experiment", str),
     "seed": ("top", "seed", int),
     "out_dir": ("top", "out_dir", str),
@@ -60,7 +62,6 @@ class ExperimentConfig:
     control_rank: int | None = None
     control_gamma: float | None = None
     control_delta: float = 1e-2
-    control_q_target: float = 0.95
     control_epsilon_target: float = 0.1
 
     @property
@@ -69,8 +70,7 @@ class ExperimentConfig:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    sections: dict[str, dict] = {"domain": {}, "solver": {}, "noise": {}, "control": {}, "top": {}}
-    seen: set[str] = set()
+    sections: dict[str, dict] = {section: {} for section, _, _ in _KEYS.values()}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -80,45 +80,25 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in seen:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         section, name, conv = _KEYS[key]
+        if name in sections[section]:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
             sections[section][name] = conv(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-        seen.add(key)
 
     try:
         domain = DomainSpec(**{"length": 4.0, "viscosity": 0.1, **sections["domain"]})
         solver = SolverConfig(**sections["solver"])
         noise = NoiseSpec(**sections["noise"])
+        dealiased_grid(domain, solver.nx, solver.nyq)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    nx_min, nyq_min = min_grid(domain)
-    nx = nx_min if solver.nx is None else solver.nx
-    nyq = nyq_min if solver.nyq is None else solver.nyq
-    if nx < nx_min or nyq < nyq_min:
-        raise ConfigError(f"grid ({nx}, {nyq}) below dealiasing minimum ({nx_min}, {nyq_min})")
-    top = sections["top"]
-    experiment = top.get("experiment", "simulate")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}, expected one of {EXPERIMENTS}")
-    ctl = sections["control"]
-    return ExperimentConfig(
-        domain=domain,
-        solver=solver,
-        noise=noise,
-        experiment=experiment,
-        seed=top.get("seed", 0),
-        noise_seed=top.get("noise_seed"),
-        out_dir=top.get("out_dir", "out"),
-        control_rank=ctl.get("rank"),
-        control_gamma=ctl.get("gamma"),
-        control_delta=ctl.get("delta", 1e-2),
-        control_q_target=ctl.get("q_target", 0.95),
-        control_epsilon_target=ctl.get("epsilon_target", 0.1),
-    )
+    ec = ExperimentConfig(domain, solver, noise, **sections["top"], **sections["control"])
+    if ec.experiment not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {ec.experiment!r}, expected one of {EXPERIMENTS}")
+    return ec
 
 
 def load_config(path) -> ExperimentConfig:
@@ -130,31 +110,12 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_snapshot(ec: ExperimentConfig) -> dict:
-    """Fully resolved configuration for the run manifest."""
-    return {
-        "domain": {
-            "length": ec.domain.length,
-            "viscosity": ec.domain.viscosity,
-            "damping": ec.domain.damping,
-            "mx": ec.domain.mx,
-            "ny": ec.domain.ny,
-        },
-        "solver": {"dt": ec.solver.dt, "nx": ec.solver.nx, "nyq": ec.solver.nyq},
-        "noise": {
-            "P": ec.noise.p_order,
-            "B0": ec.noise.b0,
-            "s_t": ec.noise.s_t,
-            "s_x": ec.noise.s_x,
-        },
-        "control": {
-            "M": ec.control_rank,
-            "gamma": ec.control_gamma,
-            "delta": ec.control_delta,
-            "q_target": ec.control_q_target,
-            "epsilon_target": ec.control_epsilon_target,
-        },
-        "experiment": ec.experiment,
-        "seed": ec.seed,
-        "noise_seed": ec.noise_seed,
-        "out_dir": ec.out_dir,
-    }
+    """Fully resolved configuration for the run manifest, one entry per key."""
+    snap: dict = {}
+    for key, (section, name, _) in _KEYS.items():
+        if section == "top":
+            snap[name] = getattr(ec, name)
+        else:
+            owner = ec if section == "control" else getattr(ec, section)
+            snap.setdefault(section, {})[key.split(".", 1)[1]] = getattr(owner, name)
+    return snap

@@ -43,7 +43,7 @@ class SolverConfig:
     blowup_threshold: float = 1e9
 
     def __post_init__(self):
-        n = round(1.0 / self.dt)
+        n = round(1.0 / self.dt) if self.dt > 0 else 0
         if n < 1 or abs(n * self.dt - 1.0) > 1e-9:
             raise ValueError(f"dt={self.dt} must divide 1 exactly")
 

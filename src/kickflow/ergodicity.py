@@ -22,7 +22,7 @@ from ._blas import single_threaded_blas
 from .basis import DomainSpec, eigenvalues, poincare_constant
 from .dynamics import SolverConfig, advance_columns
 from .errors import InsufficientDataError
-from .noise import NoiseSpec, amplitudes, kick_rng, sample_xi, support_bound
+from .noise import NoiseSpec, kick_rng, sample_kick, support_bound
 
 __all__ = [
     "EmpiricalEnsemble",
@@ -83,17 +83,6 @@ def make_compact(spec: DomainSpec, radius: float, n_points: int, seed: int,
     )
 
 
-def _sample_ensemble_kicks(ens: EmpiricalEnsemble, spec: DomainSpec,
-                           noise: NoiseSpec) -> np.ndarray:
-    """(N, P, K) kick coefficients, one independent stream per particle."""
-    b = amplitudes(noise, spec)
-    out = np.empty((ens.n_particles,) + b.shape)
-    for i, pid in enumerate(ens.particle_ids):
-        rng = kick_rng(ens.master_seed, int(pid), ens.kick_index)
-        out[i] = b * sample_xi(rng, b.shape)
-    return out
-
-
 def ensemble_step(ens: EmpiricalEnsemble, spec: DomainSpec, cfg: SolverConfig,
                   noise: NoiseSpec) -> EmpiricalEnsemble:
     """Push the ensemble forward by one kick (one application of P*_1).
@@ -103,7 +92,10 @@ def ensemble_step(ens: EmpiricalEnsemble, spec: DomainSpec, cfg: SolverConfig,
     if ens.n_particles == 0:
         return EmpiricalEnsemble(ens.particles, ens.weights, ens.kick_index + 1,
                                  ens.master_seed, ens.particle_ids)
-    coeffs = _sample_ensemble_kicks(ens, spec, noise)
+    # (N, P, K) kick coefficients, one independent stream per particle
+    coeffs = np.stack([
+        sample_kick(noise, spec, kick_rng(ens.master_seed, int(pid), ens.kick_index)).coeffs
+        for pid in ens.particle_ids])
     with single_threaded_blas():
         new_cols = advance_columns(ens.particles.T, coeffs, spec, cfg)
     return EmpiricalEnsemble(new_cols.T, ens.weights.copy(), ens.kick_index + 1,

@@ -167,6 +167,11 @@ def _resolve_u0(spec, text: str) -> np.ndarray:
     return u
 
 
+def _delta(ec: ExperimentConfig, opts: dict) -> float:
+    """The squeezing threshold: the ``delta`` option if given, else control.delta."""
+    return ec.control_delta if opts.get("delta") is None else opts["delta"]
+
+
 def _check_options(ec: ExperimentConfig, opts: dict) -> None:
     """Reject out-of-range counts, seeds and thresholds before any work starts."""
     for name, low in MIN_COUNTS.items():
@@ -174,7 +179,7 @@ def _check_options(ec: ExperimentConfig, opts: dict) -> None:
             raise ConfigError(f"{name} must be >= {low}, got {opts[name]}")
     if ec.seed < 0 or ec.sampling_seed < 0:
         raise ConfigError(f"seeds must be nonnegative, got {ec.seed} and {ec.sampling_seed}")
-    delta = opts.get("delta", ec.control_delta)
+    delta = _delta(ec, opts)
     if not 0 < delta < math.inf:
         raise ConfigError(f"delta must be positive and finite, got {delta}")
     if not ec.control_epsilon_target > 0:
@@ -183,7 +188,7 @@ def _check_options(ec: ExperimentConfig, opts: dict) -> None:
         # rank and gamma may be left to tuning
         ControlConfig(1 if ec.control_rank is None else ec.control_rank,
                       1.0 if ec.control_gamma is None else ec.control_gamma,
-                      delta, ec.control_q_target)
+                      delta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -203,14 +208,13 @@ def _resolve_kick(ec: ExperimentConfig, text: str):
 def _mix_start(ec: ExperimentConfig, opts: dict):
     """(ens_a, ens_b, rows) at the first kick that ``mix`` has still to run."""
     spec = ec.domain
-    n_kicks = opts.get("kicks", 25)
-    resume = opts.get("resume")
+    n_kicks = opts["kicks"]
+    resume = opts["resume"]
     if not resume:
-        n_particles = opts.get("particles", 512)
+        n_particles = opts["particles"]
         seed = ec.sampling_seed
         ens_a = make_compact(spec, 1.0, n_particles, seed, id_offset=0)
-        ens_b = _load_compact(ec, opts.get("compact", "r3"), n_particles, seed,
-                              id_offset=10_000_000)
+        ens_b = _load_compact(ec, opts["compact"], n_particles, seed, id_offset=10_000_000)
         return ens_a, ens_b, []
     ens_a, ens_b = checkpoint_load(resume, expect_k=spec.n_modes)
     if ens_a.kick_index > n_kicks:
@@ -229,10 +233,10 @@ def _resolve_inputs(ec: ExperimentConfig, opts: dict) -> None:
     """
     spec = ec.domain
     if ec.experiment in ("simulate", "linearize"):
-        default = "zero" if ec.experiment == "simulate" else "random:0"
-        opts["u0"] = _resolve_u0(spec, opts.get("u0", default))
+        opts["u0"] = _resolve_u0(spec, opts["u0"])
     if ec.experiment == "linearize":
-        opts["kick"] = _resolve_kick(ec, opts.get("kick", f"seed:{ec.sampling_seed}"))
+        kick = opts["kick"]
+        opts["kick"] = _resolve_kick(ec, f"seed:{ec.sampling_seed}" if kick is None else kick)
     if ec.experiment == "mix":
         opts["start"] = _mix_start(ec, opts)
 
@@ -244,7 +248,7 @@ def _resolve_inputs(ec: ExperimentConfig, opts: dict) -> None:
 def _run_simulate(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
     spec, cfg = ec.domain, ec.solver
     u = opts["u0"]
-    n_kicks = opts.get("kicks", 10)
+    n_kicks = opts["kicks"]
     seed = ec.sampling_seed
     rows = []
     for k in range(n_kicks):
@@ -269,7 +273,7 @@ def _run_linearize(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
     em.write_csv("psi2_singular_values.csv", "index,sigma", list(enumerate(sig)))
     em.write_csv("gram_spectrum.csv", "index,eigenvalue",
                  list(enumerate(ops.gram_eigvals[::-1])))
-    if opts.get("full"):
+    if opts["full"]:
         for name, mat in (("psi2_matrix.csv", ops.psi2), ("a_matrix.csv", ops.a_matrix)):
             rows = [tuple(r) for r in mat]
             em.write_csv(name, ",".join(f"c{j}" for j in range(mat.shape[1])), rows)
@@ -287,9 +291,9 @@ def _absorbed_start(ec: ExperimentConfig, traj_id: int) -> np.ndarray:
 
 def _run_couple(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
     spec, cfg = ec.domain, ec.solver
-    n_steps = opts.get("steps", 50)
-    n_pairs = opts.get("pairs", 1)
-    delta = opts.get("delta", ec.control_delta)
+    n_steps = opts["steps"]
+    n_pairs = opts["pairs"]
+    delta = _delta(ec, opts)
     seed = ec.sampling_seed
     rows = []
     ctl = None
@@ -302,14 +306,12 @@ def _run_couple(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
         u0p = u0 + 0.9 * delta * w / np.linalg.norm(w)
         if ctl is None:
             if ec.control_rank is not None and ec.control_gamma is not None:
-                ctl = ControlConfig(ec.control_rank, ec.control_gamma, delta,
-                                    ec.control_q_target)
+                ctl = ControlConfig(ec.control_rank, ec.control_gamma, delta)
             else:
                 base = flow(u0, sample_kick(ec.noise, spec, kick_rng(seed, pair, 0)),
                             spec, cfg)
                 ops = linearize_kick(base, spec, cfg, ec.noise)
-                ctl = tune(ops, ec.control_epsilon_target, ec.noise, spec, delta,
-                           ec.control_q_target)
+                ctl = tune(ops, ec.control_epsilon_target, ec.noise, spec, delta)
                 log.info("tuned control: M=%d gamma=%g", ctl.rank, ctl.gamma)
         report = couple(u0, u0p, seed, n_steps, spec, cfg, ctl, ec.noise, traj_id=pair)
         if len(report.steps) < n_steps:
@@ -349,8 +351,8 @@ def _load_compact(ec: ExperimentConfig, name: str, n_particles: int,
 
 def _run_mix(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
     spec, cfg, noise = ec.domain, ec.solver, ec.noise
-    n_kicks = opts.get("kicks", 25)
-    ckpt = opts.get("checkpoint")
+    n_kicks = opts["kicks"]
+    ckpt = opts["checkpoint"]
     ens_a, ens_b, rows = opts["start"]
     n_particles = ens_a.n_particles
 
@@ -371,9 +373,9 @@ def _run_mix(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
                 ens_a = ensemble_step(ens_a, spec, cfg, noise)
                 ens_b = ensemble_step(ens_b, spec, cfg, noise)
             if ckpt:
-                with em.timed("checkpoint"):
-                    checkpoint_save(ens_a, ens_b, ckpt)
+                with em.timed("checkpoint"):  # rows first, see _rows_load
                     _rows_save(rows, ckpt)
+                    checkpoint_save(ens_a, ens_b, ckpt)
     em.write_csv("mix_distances.csv", "k,dist_lower,floor,tail_energy_max,mean_normH", rows)
 
     floor_est = float(np.median([r[2] for r in rows]))
@@ -407,7 +409,7 @@ def _split_half_floor(ens: EmpiricalEnsemble, dic) -> float:
 
 def _run_noise_check(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
     spec, noise = ec.domain, ec.noise
-    n_draws = opts.get("draws", 1_000_000)
+    n_draws = opts["draws"]
     seed = ec.sampling_seed
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     xi = sample_xi(rng, n_draws)
@@ -474,26 +476,37 @@ def _run_spectrum(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
     })
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "linearize": _run_linearize,
-    "couple": _run_couple,
-    "mix": _run_mix,
-    "noise-check": _run_noise_check,
-    "spectrum": _run_spectrum,
+# experiment -> (runner, {option: default}).  The CLI subcommands declare
+# these options without defaults, and ``run`` fills in each one not given.
+# A ``kick`` of None is the draw of the sampling seed, a ``delta`` of None
+# is control.delta.
+EXPERIMENT_OPTIONS = {
+    "simulate": (_run_simulate, {"u0": "zero", "kicks": 10}),
+    "linearize": (_run_linearize, {"u0": "random:0", "kick": None, "full": False}),
+    "couple": (_run_couple, {"delta": None, "steps": 50, "pairs": 1}),
+    "mix": (_run_mix, {"particles": 512, "kicks": 25, "compact": "r3",
+                       "checkpoint": None, "resume": None}),
+    "noise-check": (_run_noise_check, {"draws": 1_000_000}),
+    "spectrum": (_run_spectrum, {}),
 }
 
 
 def run(ec: ExperimentConfig, opts: dict | None = None) -> RunManifest:
-    """Dispatch to the configured experiment and write outputs + manifest."""
-    opts = dict(opts or {})
+    """Dispatch to the configured experiment and write outputs + manifest.
+
+    ``opts`` holds the experiment's options that are given, the others
+    taking their defaults from ``EXPERIMENT_OPTIONS``, and optionally
+    ``out``, the output directory.
+    """
+    runner, defaults = EXPERIMENT_OPTIONS[ec.experiment]
+    opts = {**defaults, **(opts or {})}
     out_dir = Path(opts.pop("out", None) or ec.out_dir)
     _check_options(ec, opts)
     _resolve_inputs(ec, opts)
     em = _Emitter(out_dir)
     manifest = RunManifest(config=config_snapshot(ec), experiment=ec.experiment)
     t0 = time.perf_counter()
-    _RUNNERS[ec.experiment](ec, opts, em)
+    runner(ec, opts, em)
     manifest.stages.update(em.stages)
     manifest.stages[ec.experiment] = time.perf_counter() - t0
     manifest.wall_clock_s = time.perf_counter() - t0
@@ -603,14 +616,19 @@ def _rows_save(rows: list[tuple], ckpt) -> None:
 
 
 def _rows_load(ckpt, kick_index: int) -> list[tuple]:
-    """The rows saved beside ``ckpt``: one for each kick before kick_index."""
+    """The rows saved beside ``ckpt``, one for each kick before kick_index.
+
+    The rows are written before the checkpoint, so a run stopped between the
+    two writes leaves one row more than that; it is dropped.
+    """
     lines = _read_hashed(_rows_path(ckpt), ROWS_MAGIC)
     try:
         rows = [(int(k), *map(float, rest))
                 for k, *rest in (ln.split(",") for ln in lines[1:-1])]
     except ValueError as exc:
         raise ConfigError(f"{_rows_path(ckpt)}: malformed row: {exc}") from exc
-    if [r[0] for r in rows] != list(range(kick_index)):
+    if (len(rows) not in (kick_index, kick_index + 1)
+            or [r[0] for r in rows] != list(range(len(rows)))):
         raise ConfigError(f"{_rows_path(ckpt)}: holds {len(rows)} rows, but checkpoint "
                           f"{ckpt} is at kick {kick_index}")
-    return rows
+    return rows[:kick_index]

@@ -33,12 +33,11 @@ GAMMA_GRID = tuple(10.0 ** (-e) for e in range(1, 9))
 
 @dataclass(frozen=True)
 class ControlConfig:
-    """Truncation rank M, Tikhonov gamma, and coupling thresholds."""
+    """Truncation rank M, Tikhonov gamma, and the squeezing threshold delta."""
 
     rank: int
     gamma: float
     delta: float = 1e-2
-    q_target: float = 0.95
 
     def __post_init__(self):
         if self.rank < 1:
@@ -47,8 +46,6 @@ class ControlConfig:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
-        if not 0 < self.q_target < 1:
-            raise ValueError(f"q_target must be in (0, 1), got {self.q_target}")
 
 
 @dataclass
@@ -111,7 +108,7 @@ def epsilon_check(ops: TangentOperators, r: np.ndarray) -> float:
 
 
 def tune(ops: TangentOperators, epsilon_target: float, noise: NoiseSpec,
-         spec: DomainSpec, delta: float = 1e-2, q_target: float = 0.95) -> ControlConfig:
+         spec: DomainSpec, delta: float = 1e-2) -> ControlConfig:
     """Grid search for the cheapest (smallest M, then largest gamma) config.
 
     Scans M over multiples of K up to P*K and gamma over a log grid,
@@ -121,7 +118,7 @@ def tune(ops: TangentOperators, epsilon_target: float, noise: NoiseSpec,
     best = np.inf
     for rank in range(K, noise.p_order * K + 1, K):
         for gamma in GAMMA_GRID:
-            ctl = ControlConfig(rank, gamma, delta, q_target)
+            ctl = ControlConfig(rank, gamma, delta)
             eps = epsilon_check(ops, right_inverse_matrix(ops, ctl, noise, spec))
             best = min(best, eps)
             if eps <= epsilon_target:

@@ -1,18 +1,25 @@
 """Config parsing, CLI exit codes, manifests, and checkpoint round-trips."""
 
+import argparse
 import builtins
+import contextlib
 import hashlib
+import io
 import json
 import logging
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kickflow import cli, experiments
+from kickflow import cli, errors, experiments
 from kickflow.basis import save_field
-from kickflow.config import config_snapshot, load_config, parse_config
+from kickflow.config import _KEYS, EXPERIMENTS, config_snapshot, load_config, parse_config
 from kickflow.errors import ConfigError
 from kickflow.ergodicity import make_compact
 from kickflow.experiments import checkpoint_load, checkpoint_save, run
@@ -97,14 +104,47 @@ class TestConfigParsing:
             load_config(tmp_path / "nope.cfg")
 
     def test_snapshot_is_complete(self):
-        snap = config_snapshot(parse_config("domain.mx = 2\n"))
-        assert snap["domain"]["mx"] == 2
-        assert snap["solver"]["dt"] == 1e-3
-        assert snap["noise"]["P"] == 2
-        assert "experiment" in snap
+        snap = config_snapshot(parse_config("domain.mx = 2\nsolver.nx = 12\n"
+                                            "control.M = 40\nnoise.seed = 11\n"))
+        assert snap == {
+            "domain": {"length": 4.0, "viscosity": 0.1, "damping": 0.0, "mx": 2, "ny": 5},
+            "solver": {"dt": 1e-3, "nx": 12, "nyq": None},
+            "noise": {"P": 2, "B0": 1.0, "s_t": 2.0, "s_x": 1.0},
+            "control": {"M": 40, "gamma": None, "delta": 1e-2, "epsilon_target": 0.1},
+            "experiment": "simulate",
+            "seed": 0,
+            "noise_seed": 11,
+            "out_dir": "out",
+        }
+
+
+def _subcommands() -> dict:
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestOptionTable:
+    """The experiment names and their options are listed once, in EXPERIMENT_OPTIONS."""
+
+    def test_subcommands_are_the_experiments(self):
+        assert list(_subcommands()) == list(EXPERIMENTS) == list(experiments.EXPERIMENT_OPTIONS)
+
+    def test_subcommand_options_are_the_table_options(self):
+        for name, sub in _subcommands().items():
+            dests = {a.dest for a in sub._actions if a.dest != "help"}
+            assert dests == set(experiments.EXPERIMENT_OPTIONS[name][1]), name
+
+    def test_zero_kicks_runs_no_kick(self, tmp_path):
+        assert cli.main(["--out", str(tmp_path), "simulate", "--kicks", "0"]) == 0
+        assert (tmp_path / "per_kick.csv").read_text() == "k,normH,normV,energy_residual\n"
 
 
 class TestCliExitCodes:
+    def test_help_is_exit_0(self):
+        res = _cli("--help")
+        assert res.returncode == 0
+        assert res.stdout.startswith("usage: kickflow")
+
     def test_spectrum_ok(self, tmp_path):
         res = _cli("--out", str(tmp_path), "spectrum")
         assert res.returncode == 0
@@ -285,6 +325,10 @@ class TestCheckpoints:
             checkpoint_load(path, expect_k=spec.n_modes + 1)
 
 
+class _Stopped(Exception):
+    """Stands for the process being killed."""
+
+
 class TestResume:
     def _mix(self, tmp_path, out, kicks, *extra):
         cfg = tmp_path / "run.cfg"
@@ -316,6 +360,30 @@ class TestResume:
         with pytest.raises(ConfigError, match="cannot read"):
             run(ec, {"out": tmp_path / "res", "particles": 16, "kicks": 3, "resume": str(ck)})
 
+    def test_stop_between_the_two_checkpoint_writes(self, tmp_path, monkeypatch):
+        """A run stopped after the first of a checkpoint's two files still resumes."""
+        ec = parse_config(FAST_LINES + "experiment = mix\nseed = 4\n")
+        ck = tmp_path / "ck.txt"
+        opts = {"particles": 16, "kicks": 4}
+        write = experiments._atomic_write
+        writes = []
+
+        def stop_at_the_fourth(path, text):
+            writes.append(path)
+            if len(writes) == 4:
+                raise _Stopped
+            write(path, text)
+
+        monkeypatch.setattr(experiments, "_atomic_write", stop_at_the_fourth)
+        with pytest.raises(_Stopped):
+            run(ec, {**opts, "out": tmp_path / "cut", "checkpoint": str(ck)})
+        monkeypatch.undo()
+        run(ec, {**opts, "out": tmp_path / "res", "resume": str(ck)})
+        run(ec, {**opts, "out": tmp_path / "full"})
+        for name in ("mix_distances.csv", "mix_summary.json"):
+            full = (tmp_path / "full" / name).read_bytes()
+            assert (tmp_path / "res" / name).read_bytes() == full, name
+
 
 BAD_INPUTS = {
     "missing-u0-file": ("simulate", "--u0", "/nonexistent/u0.field"),
@@ -331,12 +399,18 @@ BAD_INPUTS = {
     "grid-below-minimum": ("--config", "{tmp}/coarse.cfg", "simulate", "--kicks", "1"),
     "out-is-a-file": ("--out", "{tmp}/file", "spectrum"),
     "out-below-a-file": ("--out", "{tmp}/file/sub", "spectrum"),
+    "zero-delta": ("couple", "--delta", "0"),
+    "q-target-is-unknown": ("--config", "{tmp}/q_target.cfg", "spectrum"),
+    "kicks-not-a-number": ("simulate", "--kicks", "abc"),
+    "unknown-experiment": ("bogus",),
+    "seed-after-the-experiment": ("simulate", "--seed", "7"),
 }
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
 def test_bad_input_is_one_json_line_with_exit_2(tmp_path, case):
     (tmp_path / "coarse.cfg").write_text("solver.nx = 3\n")
+    (tmp_path / "q_target.cfg").write_text("control.q_target = 0.95\n")
     (tmp_path / "file").write_text("a regular file\n")
     out = tmp_path / "o"
     res = _cli("--out", str(out), *(arg.format(tmp=tmp_path) for arg in BAD_INPUTS[case]))
@@ -360,7 +434,7 @@ def test_non_finite_field_file_is_a_config_error(spec, tmp_path):
 
 
 @pytest.mark.parametrize("line", ["control.delta = -1", "control.delta = inf",
-                                  "control.q_target = 2", "control.M = 0",
+                                  "control.M = 0",
                                   "control.gamma = 0", "control.epsilon_target = 0",
                                   "noise.seed = -1"])
 def test_out_of_range_config_is_rejected_before_any_output(tmp_path, line):
@@ -368,3 +442,51 @@ def test_out_of_range_config_is_rejected_before_any_output(tmp_path, line):
     with pytest.raises(ConfigError):
         run(ec)
     assert not (tmp_path / "o").exists()
+
+
+# Every value is small, so that each run is a tiny problem: at most 3 modes,
+# solver.dt = 0.01 unless the config sets it, and never a default mix or couple.
+_FUZZ_VALUES = st.sampled_from(["1", "1", "0.5", "0", "-1", "nan", "inf", "x", ""])
+# "key = value", "key value" (no '=') or a comment, from every key and two unknown ones
+_FUZZ_LINES = st.tuples(st.sampled_from([*_KEYS, "control.q_target", "no.such", "#"]),
+                        st.sampled_from(["=", "=", "=", ""]), _FUZZ_VALUES).map(" ".join)
+_FUZZ_RUNS = st.one_of(
+    st.just(["spectrum"]),
+    st.sampled_from(["-1", "0", "1", "100", "x"]).map(lambda n: ["noise-check", "--draws", n]),
+    st.tuples(st.sampled_from(["-1", "0", "1", "1", "x"]),
+              st.sampled_from([[], [], ["--u0", "random:1"], ["--u0", "random:x"],
+                               ["--u0", "/nonexistent/u0.field"]]))
+    .map(lambda t: ["simulate", "--kicks", t[0], *t[1]]),
+    st.sampled_from([[], ["bogus"]]),
+)
+_FUZZ_PREFIX = st.sampled_from([[], [], ["--seed", "3"], ["--seed", "-1"], ["--seed", "x"]])
+_FUZZ_SUFFIX = st.sampled_from([[], [], [], ["--bogus"], ["--seed", "7"], ["extra"], ["--kicks"]])
+_EXIT_CODES = {0} | {cls.exit_code for cls in vars(errors).values()
+                     if isinstance(cls, type) and issubclass(cls, errors.KickflowError)
+                     and cls is not errors.KickflowError}
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(_FUZZ_LINES, max_size=3), prefix=_FUZZ_PREFIX, run_args=_FUZZ_RUNS,
+       suffix=_FUZZ_SUFFIX)
+def test_fuzzed_config_and_argv_fail_as_one_json_line(lines, prefix, run_args, suffix):
+    """Exit 0 with a manifest, or a classified failure as one JSON line on
+    stderr; exit 2 leaves no output directory."""
+    keys = {line.split("=", 1)[0].strip() for line in lines}
+    base = [line for line in ("solver.dt = 0.01", "domain.mx = 1", "domain.ny = 1")
+            if line.split(" = ")[0] not in keys]
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
+        config.write_text("\n".join(base + lines) + "\n")
+        argv = [*prefix, "--config", str(config), "--out", str(out), *run_args, *suffix]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        failures = stderr.getvalue().splitlines()
+        assert code in _EXIT_CODES, (argv, failures)
+        if code == 0:
+            assert failures == [] and (out / "manifest.json").exists()
+        else:
+            assert len(failures) == 1 and json.loads(failures[0])["exit_code"] == code
+        if code == 2:
+            assert not out.exists()

@@ -41,8 +41,6 @@ class TestControlConfig:
             ControlConfig(rank=5, gamma=0.0)
         with pytest.raises(ValueError):
             ControlConfig(rank=5, gamma=0.1, delta=-1.0)
-        with pytest.raises(ValueError):
-            ControlConfig(rank=5, gamma=0.1, q_target=1.5)
 
 
 class TestRightInverse:
