@@ -6,6 +6,12 @@ wait for one another, and its idle threads spin between calls, so such a
 loop slows several-fold as soon as any other process wants a core.
 Where numpy uses another BLAS, or OpenBLAS cannot be found, the thread
 limit does nothing.
+
+The count is one process-global value, and ``single_threaded_blas`` saves,
+sets and restores it without a lock.  So only one thread may hold the
+limit at a time: ``advance_columns`` enters it once, on the calling
+thread, around both halves of a split stack, and its worker thread never
+enters it.
 """
 
 from __future__ import annotations
@@ -15,18 +21,21 @@ import importlib
 from contextlib import contextmanager
 from functools import lru_cache
 
-# (getter, setter) names: the scipy-openblas wheels of numpy, then a system OpenBLAS
-_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
+import numpy as np
+
+# (prefix, suffix) of the OpenBLAS function names: the scipy-openblas wheels
+# of numpy, then a system OpenBLAS
+_MANGLINGS = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
+              ("openblas_", "64_"), ("openblas_", ""))
 
 
 @lru_cache(maxsize=None)
 def _openblas():
-    """(get, set) thread-count functions of numpy's OpenBLAS, or None."""
+    """(get, set, config) functions of numpy's OpenBLAS, or None.
+
+    ``config`` returns the runtime configuration string, or is None where
+    this OpenBLAS does not export it.
+    """
     for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
         try:
             # symbols are looked up through the extension's own dependencies
@@ -36,12 +45,15 @@ def _openblas():
             continue
     else:
         return None
-    for get_name, set_name in _SYMBOLS:
-        if hasattr(lib, get_name) and hasattr(lib, set_name):
-            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+    for prefix, suffix in _MANGLINGS:
+        get, set_, config = (getattr(lib, f"{prefix}{fn}{suffix}", None)
+                             for fn in ("get_num_threads", "set_num_threads", "get_config"))
+        if get is not None and set_ is not None:
             get.restype, get.argtypes = ctypes.c_int, []
             set_.restype, set_.argtypes = None, [ctypes.c_int]
-            return get, set_
+            if config is not None:
+                config.restype, config.argtypes = ctypes.c_char_p, []
+            return get, set_, config
     return None
 
 
@@ -51,17 +63,33 @@ def blas_threads() -> int | None:
     return None if fns is None else int(fns[0]())
 
 
+def blas_info() -> dict:
+    """Name and version of numpy's BLAS, and OpenBLAS's runtime configuration.
+
+    The configuration string names the CPU kernels OpenBLAS picked when it
+    loaded, which can differ from those of the build; None where unknown.
+    """
+    try:
+        dep = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 only prints its config
+        dep = {}
+    fns = _openblas()
+    config = fns[2]().decode() if fns is not None and fns[2] is not None else None
+    return {"name": dep.get("name"), "version": dep.get("version"), "config": config}
+
+
 @contextmanager
 def single_threaded_blas():
     """Run the block with OpenBLAS on one thread, then restore its count.
 
     Nested uses restore correctly: an inner block saves and restores 1.
+    Not for two threads at once (see the module docstring).
     """
     fns = _openblas()
     if fns is None:
         yield
         return
-    get, set_ = fns
+    get, set_, _ = fns
     saved = get()
     set_(1)
     try:

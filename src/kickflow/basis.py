@@ -46,6 +46,9 @@ class DomainSpec:
     ny: int = 5
 
     def __post_init__(self):
+        for name in ("length", "viscosity", "damping"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.length > 0:
             raise ValueError(f"length must be positive, got {self.length}")
         if not self.viscosity > 0:

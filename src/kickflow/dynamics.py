@@ -12,11 +12,15 @@ in ``advance_columns``, which steps wide stacks.
 from __future__ import annotations
 
 import math
+import os
+from contextvars import copy_context
 from dataclasses import dataclass, field
 from functools import lru_cache
+from threading import Thread
 
 import numpy as np
 
+from ._blas import single_threaded_blas
 from .basis import DomainSpec, eigenvalues, grid_operators, poincare_constant
 from .errors import DivergedTrajectoryError
 from .noise import KickPath, eval_kick, legendre_values
@@ -217,20 +221,19 @@ def _separable_advection(v, ops, work):
     return out.reshape(mxs * ny, n)
 
 
-def advance_columns(states: np.ndarray, kick_coeffs: np.ndarray | None,
-                    spec: DomainSpec, cfg: SolverConfig) -> np.ndarray:
-    """One kick interval for a (K, n) stack with per-column kick paths.
+def _advance_stack(states: np.ndarray, kick_coeffs: np.ndarray | None,
+                   spec: DomainSpec, cfg: SolverConfig) -> np.ndarray:
+    """``advance_columns`` on one thread: the whole stack in slot order.
 
-    ``kick_coeffs`` has shape (n, P, K); every column evolves independently,
-    and each agrees with ``time_one_map`` under its own kick to 1e-13.  The
-    stack is stepped in slot order with the separable transforms, which
-    beat the dense ones on wide stacks; ``flow`` keeps the dense ones.
+    A ``FloatingPointError`` (a non-finite input, or numpy's own under
+    ``np.errstate``) carries its substep as ``step_index``, so that the
+    errors of split parts can be ordered.
     """
     ops = grid_operators(spec, cfg.nx, cfg.nyq)
     n_sub = cfg.n_substeps
     to_slots = np.argsort(ops.slot)
     decay, gain = (v[to_slots, None] for v in _factors(spec, cfg.dt))
-    u = np.asarray(states, dtype=float)[to_slots]
+    u = states[to_slots]
     f = np.zeros(u.shape)
     if kick_coeffs is not None:
         n_p = kick_coeffs.shape[1]
@@ -242,14 +245,95 @@ def advance_columns(states: np.ndarray, kick_coeffs: np.ndarray | None,
     for i in range(n_sub):
         if kick_coeffs is not None:
             np.matmul(tau[i], coeffs, out=f.reshape(-1))
-        adv = _separable_advection(u, ops, work)
-        # u = decay * u + gain * (f - adv)
-        np.subtract(f, adv, out=adv)
-        np.multiply(gain, adv, out=adv)
-        np.multiply(decay, u, out=u)
-        np.add(u, adv, out=u)
+        try:
+            adv = _separable_advection(u, ops, work)
+            # u = decay * u + gain * (f - adv)
+            np.subtract(f, adv, out=adv)
+            np.multiply(gain, adv, out=adv)
+            np.multiply(decay, u, out=u)
+            np.add(u, adv, out=u)
+        except FloatingPointError as exc:
+            exc.step_index = i
+            raise
         if i % 128 == 0 or i == n_sub - 1:
             mx = float(np.max(np.abs(u)))
             if not np.isfinite(mx) or mx > cfg.blowup_threshold:
                 raise DivergedTrajectoryError(i, mx)
     return u[ops.slot]
+
+
+# Each part of a split stack is at least this wide.  Parts of one or two
+# columns round differently from the whole stack (BLAS picks other kernels
+# for them); parts of 64 or more were bit-identical to it at every width
+# tried.  The width is set by speed: on one BLAS thread per part, two parts
+# of 64 took 256 ms against 223 ms for one stack of 128, and two of 128 took
+# 539 ms against 583 ms for one of 256 (medians of 9 on 2 cores).  Narrow
+# parts make many short numpy calls, and the two threads then spend their
+# time handing the GIL to each other.
+_MIN_PART = 128
+
+
+def _stepping_threads() -> int:
+    """Threads ``advance_columns`` steps a wide stack on: two, or one per usable CPU."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(2, cpus or 1))
+
+
+def _first_raised(errors: list) -> Exception:
+    """Of the parts' errors, the one the whole stack would raise.
+
+    That is the earliest substep; within a substep a non-finite input,
+    which is found before the norm check; and between two norm checks
+    the larger norm, NaN counting as the largest.
+    """
+    def when(exc):
+        if isinstance(exc, DivergedTrajectoryError):
+            return (exc.step_index, 1, not math.isnan(exc.norm), -exc.norm)
+        return (getattr(exc, "step_index", -1), 0, False, 0.0)
+    return min(errors, key=when)
+
+
+def advance_columns(states: np.ndarray, kick_coeffs: np.ndarray | None,
+                    spec: DomainSpec, cfg: SolverConfig) -> np.ndarray:
+    """One kick interval for a (K, n) stack with per-column kick paths.
+
+    ``kick_coeffs`` has shape (n, P, K); every column evolves independently,
+    and each agrees with ``time_one_map`` under its own kick to 1e-13.  The
+    stack is stepped in slot order with the separable transforms, which
+    beat the dense ones on wide stacks; ``flow`` keeps the dense ones.
+
+    A stack of at least ``2 * _MIN_PART`` columns is stepped as two column
+    halves, one on a worker thread, when two CPUs are usable: numpy drops
+    the GIL inside its products and ufuncs.  Both parts stay wide, so the
+    result is bit-identical to one stack, and an error is the one the
+    whole stack would raise.  This call holds the one-thread BLAS limit
+    for both parts (see ``_blas``); the worker never touches it.
+    """
+    states = np.asarray(states, dtype=float)
+    n = states.shape[1]
+    cuts = [0, n // 2, n] if n >= 2 * _MIN_PART and _stepping_threads() > 1 else [0, n]
+    parts = [(states[:, lo:hi], None if kick_coeffs is None else kick_coeffs[lo:hi])
+             for lo, hi in zip(cuts, cuts[1:])]
+    results: list = [None] * len(parts)
+
+    def step(j):
+        try:
+            results[j] = _advance_stack(*parts[j], spec, cfg)
+        except Exception as exc:  # re-raised below, on the calling thread
+            results[j] = exc
+
+    with single_threaded_blas():
+        # in the caller's context, which holds numpy's errstate
+        workers = [Thread(target=copy_context().run, args=(step, j))
+                   for j in range(1, len(parts))]
+        for worker in workers:
+            worker.start()
+        try:
+            step(0)
+        finally:
+            for worker in workers:
+                worker.join()
+    errors = [r for r in results if isinstance(r, Exception)]
+    if errors:
+        raise _first_raised(errors)
+    return results[0] if len(results) == 1 else np.concatenate(results, axis=1)

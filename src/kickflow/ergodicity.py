@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import single_threaded_blas
 from .basis import DomainSpec, eigenvalues, poincare_constant
 from .dynamics import SolverConfig, advance_columns
 from .errors import InsufficientDataError
@@ -87,7 +86,8 @@ def ensemble_step(ens: EmpiricalEnsemble, spec: DomainSpec, cfg: SolverConfig,
                   noise: NoiseSpec) -> EmpiricalEnsemble:
     """Push the ensemble forward by one kick (one application of P*_1).
 
-    All columns advance as one stack, with BLAS on one thread.
+    All columns advance in one ``advance_columns`` call, which sets the
+    BLAS thread limit itself.
     """
     if ens.n_particles == 0:
         return EmpiricalEnsemble(ens.particles, ens.weights, ens.kick_index + 1,
@@ -96,8 +96,7 @@ def ensemble_step(ens: EmpiricalEnsemble, spec: DomainSpec, cfg: SolverConfig,
     coeffs = np.stack([
         sample_kick(noise, spec, kick_rng(ens.master_seed, int(pid), ens.kick_index)).coeffs
         for pid in ens.particle_ids])
-    with single_threaded_blas():
-        new_cols = advance_columns(ens.particles.T, coeffs, spec, cfg)
+    new_cols = advance_columns(ens.particles.T, coeffs, spec, cfg)
     return EmpiricalEnsemble(new_cols.T, ens.weights.copy(), ens.kick_index + 1,
                              ens.master_seed, ens.particle_ids)
 

@@ -12,6 +12,7 @@ import json
 import logging
 import math
 import os
+import platform
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -20,9 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._blas import blas_info, blas_threads
 from .basis import eigenvalues, load_field, mode_table, norms, poincare_constant, save_field
 from .config import ExperimentConfig, config_snapshot
-from .dynamics import SolverConfig, energy_identity_residual, flow
+from .dynamics import SolverConfig, _stepping_threads, energy_identity_residual, flow
 from .ergodicity import (
     EmpiricalEnsemble,
     absorbing_constants,
@@ -38,6 +40,7 @@ from .ergodicity import (
 from .errors import ConfigError, InsufficientDataError
 from .linearization import compactness_diagnostic, linearize_kick
 from .noise import (
+    _xi_from_uniform,
     amplitudes,
     kick_rng,
     load_kick,
@@ -72,6 +75,7 @@ class RunManifest:
     wall_clock_s: float = 0.0
     stages: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
+    provenance: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -81,7 +85,25 @@ class RunManifest:
             "wall_clock_s": self.wall_clock_s,
             "stages": self.stages,
             "outputs": self.outputs,
+            "provenance": self.provenance,
         }
+
+
+def _provenance() -> dict:
+    """What output bits depend on besides the config and seed.
+
+    Outputs are byte-identical only on one platform: the interpreter,
+    numpy, its BLAS and the CPU kernels it picked, the BLAS thread count
+    outside the one-thread blocks, and the threads ``advance_columns``
+    steps a wide stack on.
+    """
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas_info(),
+        "blas_threads": blas_threads(),
+        "stepping_threads": _stepping_threads(),
+    }
 
 
 class _Emitter:
@@ -440,9 +462,10 @@ def _run_noise_check(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
         j = min(i + 10_000, CORR_DRAWS)
         block_rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(entropy=seed, spawn_key=(0xCC, i))))
-        block = sample_xi(block_rng, (j - i, flat_shape))
-        draws_a[i:j] = block[:, a_idx]
-        draws_b[i:j] = block[:, b_idx]
+        # the whole block of uniforms is drawn, which keeps the stream, but
+        # only the two columns read are mapped to xi
+        v = block_rng.random((j - i, flat_shape))[:, [a_idx, b_idx]]
+        draws_a[i:j], draws_b[i:j] = _xi_from_uniform(v).T
     corr = float(np.corrcoef(draws_a, draws_b)[0, 1])
 
     em.write_json("noise_check.json", {
@@ -504,7 +527,8 @@ def run(ec: ExperimentConfig, opts: dict | None = None) -> RunManifest:
     _check_options(ec, opts)
     _resolve_inputs(ec, opts)
     em = _Emitter(out_dir)
-    manifest = RunManifest(config=config_snapshot(ec), experiment=ec.experiment)
+    manifest = RunManifest(config=config_snapshot(ec), experiment=ec.experiment,
+                           provenance=_provenance())
     t0 = time.perf_counter()
     runner(ec, opts, em)
     manifest.stages.update(em.stages)

@@ -50,6 +50,9 @@ class NoiseSpec:
     def __post_init__(self):
         if self.p_order < 1:
             raise ValueError(f"p_order must be >= 1, got {self.p_order}")
+        for name in ("b0", "s_t", "s_x"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.b0 >= 0:
             raise ValueError(f"b0 must be nonnegative, got {self.b0}")
         if self.s_t < 2 or self.s_x < 1:
@@ -127,7 +130,11 @@ _TABLE_F = rho_cdf(_TABLE_R)
 
 def sample_xi(rng: np.random.Generator, size) -> np.ndarray:
     """Inverse-CDF draws from rho; table lookup plus Newton refinement."""
-    v = rng.random(size)
+    return _xi_from_uniform(rng.random(size))
+
+
+def _xi_from_uniform(v: np.ndarray) -> np.ndarray:
+    """The inverse CDF of rho at uniforms v, elementwise."""
     r = np.interp(v, _TABLE_F, _TABLE_R)
     for _ in range(3):
         d = rho(r)

@@ -34,6 +34,12 @@ class TestDomainSpec:
         with pytest.raises(ValueError):
             DomainSpec(length=4.0, viscosity=0.1, ny=0)
 
+    @pytest.mark.parametrize("field", ["length", "viscosity", "damping"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_fields_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            DomainSpec(**{"length": 4.0, "viscosity": 0.1, field: value})
+
 
 class TestSpectrum:
     def test_eigenvalue_formula(self, spec):

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import logging
+import platform
 import subprocess
 import sys
 import tempfile
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kickflow import cli, errors, experiments
+from kickflow._blas import blas_threads
 from kickflow.basis import save_field
 from kickflow.config import _KEYS, EXPERIMENTS, config_snapshot, load_config, parse_config
 from kickflow.errors import ConfigError
@@ -208,6 +210,16 @@ class TestManifest:
             assert digest == rec["sha256"]
         assert manifest.outputs == data["outputs"]
 
+    def test_provenance(self, tmp_path):
+        run(parse_config("experiment = spectrum\nout_dir = " + str(tmp_path / "m")))
+        data = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        prov = data["provenance"]
+        assert prov["python"] == platform.python_version()
+        assert prov["numpy"] == np.__version__
+        assert set(prov["blas"]) == {"name", "version", "config"}
+        assert prov["blas_threads"] == blas_threads()
+        assert prov["stepping_threads"] in (1, 2)
+
     def test_mix_stage_timings(self, tmp_path):
         ec = parse_config(FAST_LINES + "experiment = mix\nout_dir = " + str(tmp_path / "m"))
         run(ec, {"particles": 8, "kicks": 2, "checkpoint": str(tmp_path / "ck.txt")})
@@ -397,6 +409,11 @@ BAD_INPUTS = {
     "missing-checkpoint": ("mix", "--resume", "/nonexistent/ck.txt"),
     "missing-compact-file": ("mix", "--compact", "/nonexistent/points.csv"),
     "grid-below-minimum": ("--config", "{tmp}/coarse.cfg", "simulate", "--kicks", "1"),
+    "damping-nan": ("--config", "{tmp}/damping-nan.cfg", "simulate", "--kicks", "1"),
+    "viscosity-inf": ("--config", "{tmp}/viscosity-inf.cfg", "simulate", "--kicks", "1"),
+    "length-inf": ("--config", "{tmp}/length-inf.cfg", "simulate", "--kicks", "1"),
+    "b0-inf": ("--config", "{tmp}/b0-inf.cfg", "simulate", "--kicks", "1"),
+    "s-x-nan": ("--config", "{tmp}/s-x-nan.cfg", "simulate", "--kicks", "1"),
     "out-is-a-file": ("--out", "{tmp}/file", "spectrum"),
     "out-below-a-file": ("--out", "{tmp}/file/sub", "spectrum"),
     "zero-delta": ("couple", "--delta", "0"),
@@ -407,10 +424,22 @@ BAD_INPUTS = {
 }
 
 
+# the config files that BAD_INPUTS reads, as {tmp}/<name>.cfg
+BAD_CONFIGS = {
+    "coarse": "solver.nx = 3",
+    "q_target": "control.q_target = 0.95",
+    "damping-nan": "domain.damping = nan",
+    "viscosity-inf": "domain.viscosity = inf",
+    "length-inf": "domain.length = inf",
+    "b0-inf": "noise.B0 = inf",
+    "s-x-nan": "noise.s_x = nan",
+}
+
+
 @pytest.mark.parametrize("case", BAD_INPUTS)
 def test_bad_input_is_one_json_line_with_exit_2(tmp_path, case):
-    (tmp_path / "coarse.cfg").write_text("solver.nx = 3\n")
-    (tmp_path / "q_target.cfg").write_text("control.q_target = 0.95\n")
+    for name, line in BAD_CONFIGS.items():
+        (tmp_path / f"{name}.cfg").write_text(line + "\n")
     (tmp_path / "file").write_text("a regular file\n")
     out = tmp_path / "o"
     res = _cli("--out", str(out), *(arg.format(tmp=tmp_path) for arg in BAD_INPUTS[case]))
@@ -446,7 +475,7 @@ def test_out_of_range_config_is_rejected_before_any_output(tmp_path, line):
 
 # Every value is small, so that each run is a tiny problem: at most 3 modes,
 # solver.dt = 0.01 unless the config sets it, and never a default mix or couple.
-_FUZZ_VALUES = st.sampled_from(["1", "1", "0.5", "0", "-1", "nan", "inf", "x", ""])
+_FUZZ_VALUES = st.sampled_from(["1", "1", "0.5", "0", "-1", "nan", "inf", "-inf", "x", ""])
 # "key = value", "key value" (no '=') or a comment, from every key and two unknown ones
 _FUZZ_LINES = st.tuples(st.sampled_from([*_KEYS, "control.q_target", "no.such", "#"]),
                         st.sampled_from(["=", "=", "=", ""]), _FUZZ_VALUES).map(" ".join)

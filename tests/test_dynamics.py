@@ -1,18 +1,23 @@
 """Exponential-Euler stepper, energy balance, and batched advancement."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
-from kickflow import DivergedTrajectoryError, DomainSpec, SolverConfig
+from kickflow import DivergedTrajectoryError, DomainSpec, SolverConfig, dynamics
+from kickflow._blas import blas_threads
 from kickflow.basis import eigenvalues, poincare_constant
 from kickflow.dynamics import (
+    _advance_stack,
     advance_columns,
     energy_identity_residual,
     flow,
     nonlinearity,
     time_one_map,
 )
-from kickflow.noise import KickPath, kick_rng, sample_kick
+from kickflow.noise import KickPath, amplitudes, kick_rng, sample_kick, sample_xi
 
 
 class TestSolverConfig:
@@ -175,3 +180,144 @@ class TestBatchedAdvance:
             advance_columns(states, None, spec, cfg)
         assert err.value.exit_code == 3
         assert err.value.step_index == 0
+
+
+def _kick_stack(noise, spec, n):
+    b = amplitudes(noise, spec)
+    return np.stack([b * sample_xi(kick_rng(5, i, 0), b.shape) for i in range(n)])
+
+
+class TestSplitStack:
+    """A wide stack is stepped as two halves on two threads, as if whole."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """Worker threads that ``advance_columns`` starts."""
+        threads = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                threads.append(self)
+                super().start()
+
+        monkeypatch.setattr(dynamics, "Thread", Counted)
+        return threads
+
+    @pytest.mark.parametrize("kicked", [True, False])
+    @pytest.mark.parametrize("n", [128, 129, 511, 512])
+    def test_bit_identical_to_one_stack(self, spec, fast_cfg, noise, started, monkeypatch,
+                                        n, kicked):
+        """Also with parts half as wide as the narrowest that ``advance_columns`` makes."""
+        monkeypatch.setattr(dynamics, "_MIN_PART", 64)
+        states = np.random.default_rng(n).standard_normal((spec.n_modes, n)) * 0.1
+        coeffs = _kick_stack(noise, spec, n) if kicked else None
+        got = advance_columns(states, coeffs, spec, fast_cfg)
+        assert len(started) == 1
+        assert np.array_equal(got, _advance_stack(states, coeffs, spec, fast_cfg))
+
+    @pytest.mark.parametrize("cpus, n, workers", [
+        ({0}, 512, 0), ({0, 1}, 2 * dynamics._MIN_PART - 1, 0),
+        ({0, 1}, 2 * dynamics._MIN_PART, 1), ({0, 1, 2, 3}, 512, 1)])
+    def test_worker_only_for_two_wide_halves_and_two_cpus(self, spec, fast_cfg, rng, started,
+                                                          monkeypatch, cpus, n, workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        states = rng.standard_normal((spec.n_modes, n)) * 0.1
+        got = advance_columns(states, None, spec, fast_cfg)
+        assert len(started) == workers
+        assert np.array_equal(got, _advance_stack(states, None, spec, fast_cfg))
+
+    def test_non_finite_column_in_right_half_raises(self, spec, fast_cfg, rng, started):
+        states = rng.standard_normal((spec.n_modes, 256)) * 0.1
+        states[:, 200] = np.nan
+        with pytest.raises(FloatingPointError):
+            advance_columns(states, None, spec, fast_cfg)
+        assert len(started) == 1
+
+    def test_blas_limit_held_for_both_halves_and_restored_after_one_raises(
+            self, spec, fast_cfg, rng, monkeypatch):
+        before = blas_threads()
+        if before is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS whose threads can be set")
+        seen = []
+        whole = dynamics._advance_stack
+
+        def spy(*args):
+            seen.append(blas_threads())
+            return whole(*args)
+
+        monkeypatch.setattr(dynamics, "_advance_stack", spy)
+        states = rng.standard_normal((spec.n_modes, 256)) * 0.1
+        states[:, 200] = np.nan
+        with pytest.raises(FloatingPointError):
+            advance_columns(states, None, spec, fast_cfg)
+        assert seen == [1, 1]
+        assert blas_threads() == before
+
+    @pytest.mark.parametrize("bump", [0.3, 1e260])  # 1e260 overflows: a NaN norm
+    @pytest.mark.parametrize("larger", ["left", "right"])
+    def test_divergence_reports_the_global_max(self, spec, larger, bump):
+        cfg = SolverConfig(dt=0.01, blowup_threshold=1e-3)
+        states = np.full((spec.n_modes, 256), 0.1)
+        states[:, 10 if larger == "left" else 200] = bump
+        with pytest.raises(DivergedTrajectoryError) as whole:
+            with np.errstate(all="ignore"):
+                _advance_stack(states, None, spec, cfg)
+        with pytest.raises(DivergedTrajectoryError) as err:
+            with np.errstate(all="ignore"):
+                advance_columns(states, None, spec, cfg)
+        assert err.value.exit_code == 3
+        assert err.value.step_index == whole.value.step_index == 0
+        assert np.isnan(whole.value.norm) == (bump > 1)
+        np.testing.assert_equal(err.value.norm, whole.value.norm)
+
+    @pytest.mark.parametrize("overflows", ["left", "right"])
+    def test_norm_check_ranks_before_a_later_non_finite_input(self, spec, overflows):
+        """One half overflows between norm checks, which is found as a
+        non-finite input at substep 2; the other diverges at substep 0."""
+        cfg = SolverConfig(dt=0.01, blowup_threshold=1e250)
+        big, huge = (10, 200) if overflows == "left" else (200, 10)
+        states = np.full((spec.n_modes, 256), 1e-2)
+        states[:, big] = 1e80
+        states[:, huge] = 1e260
+        with pytest.raises(FloatingPointError) as alone:
+            with np.errstate(all="ignore"):
+                _advance_stack(states[:, big:big + 1], None, spec, cfg)
+        assert alone.value.step_index == 2
+        with pytest.raises(DivergedTrajectoryError) as err:
+            with np.errstate(all="ignore"):
+                advance_columns(states, None, spec, cfg)
+        assert err.value.step_index == 0
+
+    @pytest.mark.parametrize("early", ["left", "right"])
+    def test_divergence_reports_the_earlier_substep(self, spec, noise, early):
+        """One half diverges at the first norm check, the other only at the last."""
+        cfg = SolverConfig(dt=0.01, blowup_threshold=5e-3)
+        left, right = slice(None, 128), slice(128, None)
+        early, late = (left, right) if early == "left" else (right, left)
+        states = np.zeros((spec.n_modes, 256))
+        states[:, early] = 0.1
+        coeffs = _kick_stack(noise, spec, 256)
+        with pytest.raises(DivergedTrajectoryError) as late_err:
+            _advance_stack(states[:, late], coeffs[late], spec, cfg)
+        assert late_err.value.step_index == cfg.n_substeps - 1
+        with pytest.raises(DivergedTrajectoryError) as whole:
+            _advance_stack(states, coeffs, spec, cfg)
+        with pytest.raises(DivergedTrajectoryError) as err:
+            advance_columns(states, coeffs, spec, cfg)
+        assert err.value.step_index == whole.value.step_index == 0
+        assert err.value.norm == whole.value.norm
+
+    def test_worker_keeps_the_callers_errstate(self, spec, started):
+        """An overflow in the right half raises under ``errstate(over="raise")``."""
+        cfg = SolverConfig(dt=0.01, blowup_threshold=1e250)
+        states = np.full((spec.n_modes, 256), 1e-2)
+        states[:, 200] = 1e80
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(FloatingPointError, match="overflow") as err:
+                advance_columns(states, None, spec, cfg)
+        assert err.value.step_index == 1
+        assert len(started) == 1

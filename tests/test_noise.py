@@ -6,6 +6,7 @@ import pytest
 from kickflow import DomainSpec, NoiseSpec
 from kickflow.noise import (
     KickPath,
+    _xi_from_uniform,
     amplitudes,
     eval_kick,
     kick_rng,
@@ -56,6 +57,14 @@ class TestDensity:
         rng2 = np.random.default_rng(1234)
         assert np.abs(u - rng2.random(1000)).max() < 1e-12
 
+    def test_columns_of_a_block_map_alone(self):
+        """Mapping only some columns of a block of uniforms gives those
+        columns of ``sample_xi`` on the whole block, bit for bit."""
+        cols = [0, 55, 109]
+        full = sample_xi(np.random.default_rng(3), (10_000, 110))
+        v = np.random.default_rng(3).random((10_000, 110))[:, cols]
+        assert np.array_equal(_xi_from_uniform(v), full[:, cols])
+
 
 class TestLegendreBasis:
     def test_orthonormal_on_unit_interval(self):
@@ -96,6 +105,12 @@ class TestAmplitudes:
             NoiseSpec(p_order=0)
         with pytest.raises(ValueError):
             NoiseSpec(s_t=1.0)
+
+    @pytest.mark.parametrize("field", ["b0", "s_t", "s_x"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_fields_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseSpec(**{field: value})
 
 
 class TestKickSampling:
