@@ -54,7 +54,6 @@ from .ergodicity import (
 )
 from .linearization import (
     TangentOperators,
-    bilinear_q,
     compactness_diagnostic,
     gram_limit_check,
     linearize_kick,
@@ -66,7 +65,6 @@ from .noise import (
     eval_kick,
     kick_rng,
     load_kick,
-    project_pm,
     sample_kick,
     save_kick,
     support_bound,
@@ -117,12 +115,10 @@ __all__ = [
     "amplitudes",
     "sample_kick",
     "eval_kick",
-    "project_pm",
     "support_bound",
     "kick_rng",
     "save_kick",
     "load_kick",
-    "bilinear_q",
     "linearize_kick",
     "gram_limit_check",
     "compactness_diagnostic",

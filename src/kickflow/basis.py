@@ -26,7 +26,6 @@ __all__ = [
     "norms",
     "bracket",
     "min_grid",
-    "dealiased_grid",
     "grid_operators",
     "save_field",
     "load_field",
@@ -144,55 +143,50 @@ def min_grid(spec: DomainSpec) -> tuple[int, int]:
     return nx, nyq
 
 
-def dealiased_grid(spec: DomainSpec, nx: int | None = None,
-                   nyq: int | None = None) -> tuple[int, int]:
-    """The grid (nx, nyq), each None replaced by its dealiasing minimum.
-
-    Raises ValueError if either size is below the minimum.
-    """
-    nx_min, nyq_min = min_grid(spec)
-    nx = nx_min if nx is None else nx
-    nyq = nyq_min if nyq is None else nyq
-    if nx < nx_min or nyq < nyq_min:
-        raise ValueError(f"grid ({nx}, {nyq}) below dealiasing minimum ({nx_min}, {nyq_min})")
-    return nx, nyq
-
-
 @dataclass(frozen=True)
 class GridOperators:
     """Synthesis/analysis matrices and their 1-D factors for one (spec, grid) pair.
 
-    Every eigenfield is e_k = grad-perp psi_k = (d_y psi_k, -d_x psi_k), and
-    its vorticity is omega_k = alpha_k psi_k.  ``syn4`` maps coefficient
-    vectors to the point values of u1, u2, omega_x and omega_y at the
-    nx * (nyq + 1) collocation nodes, stacked in that order.  ``ana1``
-    holds the stream functions psi_k times the trapezoid weights, so
-    ``ana1 @ f`` is <f, psi_k> for every k.  Integrating by parts (x is
-    periodic, psi_k vanishes on the walls) gives <g, e_k> = <curl g, psi_k>,
-    and curl P(u . grad u) = u . grad omega, so ``ana1 @ (u1*omega_x +
-    u2*omega_y)`` is the projected advection.  The integrand is a product of
-    three band-limited fields, which the dealiased grid integrates exactly,
-    so this equals the velocity form up to rounding.
+    The grid has nx points in x and nyq intervals in y, and every table
+    holds its nx * (nyq - 1) interior nodes only.  Every eigenfield is
+    e_k = grad-perp psi_k = (d_y psi_k, -d_x psi_k), and its vorticity is
+    omega_k = alpha_k psi_k, so grad omega = (-u2, u1) of the state
+    alpha * u.  ``syn2`` maps coefficient vectors to the point values of
+    u1 and u2 at the nodes, stacked in that order; applied to the two
+    columns [u, alpha * u] it gives all four fields.  ``ana1`` holds the
+    stream functions psi_k times the trapezoid weights, so ``ana1 @ f`` is
+    <f, psi_k> for every k.  Integrating by parts (x is periodic, psi_k
+    vanishes on the walls) gives <g, e_k> = <curl g, psi_k>, and
+    curl P(u . grad u) = u . grad omega, so ``ana1 @ (u1*omega_x +
+    u2*omega_y)`` is the projected advection.  The integrand is a product
+    of three band-limited fields, which the dealiased grid integrates
+    exactly, so this equals the velocity form up to rounding.
+
+    Leaving out the wall rows y = 0 and y = 1 changes only rounding: the
+    analysis weights every node by psi_k, and sin(k_y y) is 0 at y = 0 and
+    within rounding of 0 at y = 1 (there every ``ana1`` column would be at
+    most 5.1e-19 on the default 55-mode grid), so the trapezoid sum over
+    the interior nodes is the same sum.
 
     The stream functions are products psi_k = s_k E_m(x) sin(k_y y), so both
     matrices factor into 1-D tables over the (2*mx + 1) x ny grid of
     (m, n) slots, slot (m + mx) * ny + (n - 1):
 
     - ``ex``, ``dex`` (nx, 2*mx + 1): E_m and its x derivative;
-    - ``cy``, ``sy`` (nyq + 1, ny): k_y cos(k_y y) and sin(k_y y);
-    - ``exw`` (2*mx + 1, nx), ``syw`` (ny, nyq + 1): ``ex`` and ``sy``
+    - ``cy``, ``sy`` (nyq - 1, ny): k_y cos(k_y y) and sin(k_y y);
+    - ``exw`` (2*mx + 1, nx), ``syw`` (ny, nyq - 1): ``ex`` and ``sy``
       times the trapezoid weights, transposed, for the analysis;
     - ``scale``, ``alpha`` (2*mx + 1, ny): s_k and alpha_k by slot;
     - ``slot`` (K,): the slot of each mode in eigenvalue order, a
       permutation of range(K).
 
     Then psi_k = scale * ex (x) sy, u1 = scale * ex (x) cy and
-    u2 = -scale * dex (x) sy, which is how ``syn4`` and ``ana1`` are built.
+    u2 = -scale * dex (x) sy, which is how ``syn2`` and ``ana1`` are built.
     """
 
     nx: int
     nyq: int
-    syn4: np.ndarray  # (4*npts, K)
+    syn2: np.ndarray  # (2*npts, K)
     ana1: np.ndarray  # (K, npts)
     ex: np.ndarray
     dex: np.ndarray
@@ -206,69 +200,57 @@ class GridOperators:
 
     @property
     def n_points(self) -> int:
-        return self.nx * (self.nyq + 1)
+        return self.nx * (self.nyq - 1)
 
 
 @lru_cache(maxsize=None)
 def grid_operators(spec: DomainSpec, nx: int | None = None, nyq: int | None = None) -> GridOperators:
-    """Build (and cache) the transform matrices for the given grid sizes."""
-    nx, nyq = dealiased_grid(spec, nx, nyq)
+    """Build (and cache) the transform matrices for the given grid sizes.
+
+    Each size left None is its dealiasing minimum, which the library uses;
+    a larger grid changes only rounding.  Raises ValueError if either size
+    is below the minimum.
+    """
+    nx_min, nyq_min = min_grid(spec)
+    nx = nx_min if nx is None else nx
+    nyq = nyq_min if nyq is None else nyq
+    if nx < nx_min or nyq < nyq_min:
+        raise ValueError(f"grid ({nx}, {nyq}) below dealiasing minimum ({nx_min}, {nyq_min})")
     L = spec.length
     x = L * np.arange(nx) / nx
-    y = np.arange(nyq + 1) / nyq
-    qx = np.full(nx, L / nx)
-    qy = np.full(nyq + 1, 1.0 / nyq)
-    qy[0] *= 0.5
-    qy[-1] *= 0.5
-    w = np.outer(qx, qy).ravel()
+    y = np.arange(1, nyq) / nyq
+    # trapezoid weights, the same at every interior node
+    qx, qy = L / nx, 1.0 / nyq
 
-    ms = range(-spec.mx, spec.mx + 1)
-    ex = np.empty((nx, len(ms)))
-    dex = np.empty((nx, len(ms)))
-    scale = np.empty((len(ms), spec.ny))
-    alpha = np.empty((len(ms), spec.ny))
-    for i, m in enumerate(ms):
-        kx = 2.0 * math.pi * abs(m) / L
-        if m >= 0:
-            ex[:, i] = np.cos(kx * x)
-            dex[:, i] = -kx * np.sin(kx * x)
-        else:
-            ex[:, i] = np.sin(kx * x)
-            dex[:, i] = kx * np.cos(kx * x)
-        cx = L if m == 0 else L / 2.0
-        for j in range(spec.ny):
-            ky = math.pi * (j + 1)
-            alpha[i, j] = kx * kx + ky * ky
-            scale[i, j] = 1.0 / math.sqrt(alpha[i, j] * cx * 0.5)
-    cy = np.empty((nyq + 1, spec.ny))
-    sy = np.empty((nyq + 1, spec.ny))
-    for j in range(spec.ny):
-        ky = math.pi * (j + 1)
-        cy[:, j] = ky * np.cos(ky * y)
-        sy[:, j] = np.sin(ky * y)
+    # E_m is cos(k_x x) for m >= 0 and sin(k_x x) for m < 0
+    m = np.arange(-spec.mx, spec.mx + 1)
+    kx = 2.0 * math.pi * np.abs(m) / L
+    cos, sin = np.cos(x[:, None] * kx), np.sin(x[:, None] * kx)
+    ex = np.where(m >= 0, cos, sin)
+    dex = np.where(m >= 0, -kx * sin, kx * cos)
+    ky = math.pi * np.arange(1, spec.ny + 1)
+    alpha = (kx * kx)[:, None] + ky * ky
+    scale = 1.0 / np.sqrt(alpha * np.where(m == 0, L, L / 2.0)[:, None] * 0.5)
+    cy = ky * np.cos(y[:, None] * ky)
+    sy = np.sin(y[:, None] * ky)
     slot = np.array([(mo.m + spec.mx) * spec.ny + mo.n - 1 for mo in mode_table(spec)])
 
     # columns in eigenvalue order; u = (d_y psi, -d_x psi) with
-    # psi = scale * ex * sy, and grad omega = alpha grad psi = alpha (-u2, u1)
+    # psi = scale * ex * sy
     mi, nj = np.divmod(slot, spec.ny)
     s = scale[mi, nj]
-    a = alpha[mi, nj]
-    npts = nx * (nyq + 1)
+    npts = nx * (nyq - 1)
     K = len(slot)
-    syn = np.empty((4, npts, K))
-    u1, u2, wx, wy = syn
-    u1[:] = s * (ex[:, None, mi] * cy[None, :, nj]).reshape(npts, K)
-    u2[:] = -s * (dex[:, None, mi] * sy[None, :, nj]).reshape(npts, K)
-    wx[:] = -a * u2
-    wy[:] = a * u1
-    syn4 = syn.reshape(4 * npts, K)
+    syn2 = np.empty((2 * npts, K))  # C order: BLAS rounds an F-ordered product differently
+    syn2[:npts] = s * (ex[:, None, mi] * cy[None, :, nj]).reshape(npts, K)
+    syn2[npts:] = -s * (dex[:, None, mi] * sy[None, :, nj]).reshape(npts, K)
     psi = s * (ex[:, None, mi] * sy[None, :, nj]).reshape(npts, K)
-    ana1 = (psi * w[:, None]).T.copy()
-    exw = (ex * qx[:, None]).T.copy()
-    syw = (sy * qy[:, None]).T.copy()
-    for arr in (syn4, ana1, ex, dex, cy, sy, exw, syw, scale, alpha, slot):
+    ana1 = (psi * (qx * qy)).T.copy()
+    exw = (ex * qx).T.copy()
+    syw = (sy * qy).T.copy()
+    for arr in (syn2, ana1, ex, dex, cy, sy, exw, syw, scale, alpha, slot):
         arr.setflags(write=False)
-    return GridOperators(nx, nyq, syn4, ana1, ex, dex, cy, sy, exw, syw, scale, alpha, slot)
+    return GridOperators(nx, nyq, syn2, ana1, ex, dex, cy, sy, exw, syw, scale, alpha, slot)
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,6 @@ def _experiment_config(args: dict) -> ExperimentConfig:
     """The config that the top-level arguments name; pops them from ``args``."""
     path = args.pop("config")
     ec = load_config(path) if path else parse_config("")
-    ec.experiment = args.pop("experiment")
     seed, out = args.pop("seed"), args.pop("out")
     if seed is not None:
         ec.seed = seed
@@ -95,16 +94,17 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         args = vars(build_parser().parse_args(argv))
+        experiment = args.pop("experiment")
         ec = _experiment_config(args)
         # what is left are the subcommand's options; those not given are None
-        manifest = run(ec, {name: v for name, v in args.items() if v is not None})
+        manifest = run(ec, experiment, {name: v for name, v in args.items() if v is not None})
     except KickflowError as exc:
         return _fail(exc, exc.exit_code)
     except Exception as exc:
         logging.getLogger("kickflow").debug("unclassified failure", exc_info=True)
         return _fail(exc, 1)
     out = manifest.outputs[-1]["path"] if manifest.outputs else ec.out_dir
-    print(f"{ec.experiment}: ok ({manifest.wall_clock_s:.2f}s, outputs in "
+    print(f"{experiment}: ok ({manifest.wall_clock_s:.2f}s, outputs in "
           f"{os.path.dirname(out) or '.'})")
     return 0
 

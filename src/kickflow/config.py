@@ -9,15 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .basis import DomainSpec, dealiased_grid
+from .basis import DomainSpec
 from .dynamics import SolverConfig
 from .errors import ConfigError
 from .noise import NoiseSpec
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config", "config_snapshot"]
-
-EXPERIMENTS = ("simulate", "linearize", "couple", "mix", "noise-check", "spectrum")
-
 
 # key -> (section, field name, converter).  The domain, solver and noise
 # fields live on those objects, the control and top fields on
@@ -30,8 +27,6 @@ _KEYS = {
     "domain.mx": ("domain", "mx", int),
     "domain.ny": ("domain", "ny", int),
     "solver.dt": ("solver", "dt", float),
-    "solver.nx": ("solver", "nx", int),
-    "solver.nyq": ("solver", "nyq", int),
     "noise.P": ("noise", "p_order", int),
     "noise.B0": ("noise", "b0", float),
     "noise.s_t": ("noise", "s_t", float),
@@ -41,7 +36,6 @@ _KEYS = {
     "control.gamma": ("control", "control_gamma", float),
     "control.delta": ("control", "control_delta", float),
     "control.epsilon_target": ("control", "control_epsilon_target", float),
-    "experiment": ("top", "experiment", str),
     "seed": ("top", "seed", int),
     "out_dir": ("top", "out_dir", str),
 }
@@ -54,7 +48,6 @@ class ExperimentConfig:
     domain: DomainSpec
     solver: SolverConfig
     noise: NoiseSpec
-    experiment: str = "simulate"
     seed: int = 0
     noise_seed: int | None = None
     out_dir: str = "out"
@@ -92,13 +85,9 @@ def parse_config(text: str) -> ExperimentConfig:
         domain = DomainSpec(**{"length": 4.0, "viscosity": 0.1, **sections["domain"]})
         solver = SolverConfig(**sections["solver"])
         noise = NoiseSpec(**sections["noise"])
-        dealiased_grid(domain, solver.nx, solver.nyq)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    ec = ExperimentConfig(domain, solver, noise, **sections["top"], **sections["control"])
-    if ec.experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {ec.experiment!r}, expected one of {EXPERIMENTS}")
-    return ec
+    return ExperimentConfig(domain, solver, noise, **sections["top"], **sections["control"])
 
 
 def load_config(path) -> ExperimentConfig:

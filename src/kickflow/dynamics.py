@@ -4,9 +4,10 @@ The stepper is an integrating-factor (exponential) Euler scheme: the
 Stokes/damping part is advanced exactly and the advection term and kick
 forcing are frozen over each substep, with forcing sampled at substep
 midpoints.  All grid work is matrix algebra against the cached basis
-transforms: dense products in ``flow`` and ``nonlinearity``, whose states
-may be single vectors or (K, n) column stacks, and separable 1-D passes
-in ``advance_columns``, which steps wide stacks.
+transforms on the interior collocation nodes: dense products in ``flow``
+and ``nonlinearity``, whose states may be single vectors or (K, n) column
+stacks, and separable 1-D passes in ``advance_columns``, which steps wide
+stacks.
 """
 
 from __future__ import annotations
@@ -39,11 +40,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Substep size, grid sizes, and the divergence threshold."""
+    """Substep size and the divergence threshold."""
 
     dt: float = 1e-3
-    nx: int | None = None
-    nyq: int | None = None
     blowup_threshold: float = 1e9
 
     def __post_init__(self):
@@ -83,24 +82,46 @@ def _factors(spec: DomainSpec, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return decay, gain
 
 
-def _advection(u, ops):
+def _advection_work(ops, alpha: np.ndarray, shape: tuple) -> tuple[np.ndarray, ...]:
+    """The eigenvalues ``alpha`` shaped to scale states of ``shape``, (K,) or
+    (K, n), and the work arrays of ``_advection`` with the views it writes
+    through."""
+    K, cols = shape[0], tuple(shape[1:])
+    ab = np.empty((K, 2) + cols)  # [u, alpha * u]
+    grid = np.empty((2, ops.n_points, 2) + cols)  # (u1 or u2, node, u or alpha * u)
+    return (alpha.reshape((K,) + (1,) * len(cols)), ab[:, 0], ab[:, 1], ab.reshape(K, -1),
+            grid.reshape(2 * ops.n_points, -1), grid[0, :, 0], grid[1, :, 0], grid[0, :, 1],
+            grid[1, :, 1], np.empty((ops.n_points,) + cols), np.empty(shape))
+
+
+def _advection(u, ops, work):
     """Basis coefficients of the projected advection term P(u . grad u).
 
-    Accepts a (K,) vector or (K, n) column stack.  In vorticity form,
-    <P(u . grad u), e_k> = <u . grad omega, psi_k>: four synthesised
-    fields and one weighted analysis (see ``GridOperators``).
+    Accepts a (K,) vector or (K, n) column stack, with ``work`` from
+    ``_advection_work`` for its shape.  In vorticity form,
+    <P(u . grad u), e_k> = <u . grad omega, psi_k>, and one product of
+    ``syn2`` with [u, alpha * u] gives u and grad omega = (-u2, u1)(alpha u)
+    at the nodes (see ``GridOperators``).  The result is the last work
+    array, overwritten by the next call.
     """
-    u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise FloatingPointError("non-finite coefficients in advection input")
-    f1, f2, wx, wy = (ops.syn4 @ u).reshape((4, ops.n_points) + u.shape[1:])
-    return ops.ana1 @ (f1 * wx + f2 * wy)
+    alpha, ab_u, ab_a, ab, grid, u1, u2, u1a, u2a, cross, out = work
+    ab_u[...] = u
+    np.multiply(alpha, u, out=ab_a)
+    np.matmul(ops.syn2, ab, out=grid)
+    # u . grad omega = u2(u) u1(alpha u) - u1(u) u2(alpha u)
+    np.multiply(u2, u1a, out=cross)
+    np.multiply(u1, u2a, out=u1)
+    np.subtract(cross, u1, out=cross)
+    return np.matmul(ops.ana1, cross, out=out)
 
 
-def nonlinearity(u: np.ndarray, spec: DomainSpec, cfg: SolverConfig | None = None) -> np.ndarray:
+def nonlinearity(u: np.ndarray, spec: DomainSpec) -> np.ndarray:
     """B(u): dealiased pseudo-spectral evaluation of the projected advection."""
-    cfg = cfg or SolverConfig()
-    return _advection(u, grid_operators(spec, cfg.nx, cfg.nyq))
+    u = np.asarray(u, dtype=float)
+    ops = grid_operators(spec)
+    return _advection(u, ops, _advection_work(ops, eigenvalues(spec), u.shape))
 
 
 def _kick_forcing(kicks: list, t_loc: np.ndarray, n: int) -> np.ndarray:
@@ -115,11 +136,24 @@ def _kick_forcing(kicks: list, t_loc: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([v[:n] for v in vals[:-1]] + vals[-1:], axis=0)
 
 
+def _check_norm(u: np.ndarray, step: int, threshold: float) -> None:
+    nrm = math.sqrt(float(u @ u))
+    if not nrm <= threshold:  # NaN too
+        raise DivergedTrajectoryError(step, nrm)
+
+
 def flow(u0: np.ndarray, eta, spec: DomainSpec, cfg: SolverConfig,
          n_units: int = 1) -> Trajectory:
-    """Integrate over [0, n_units], one kick path per unit interval."""
+    """Integrate over [0, n_units], one kick path per unit interval.
+
+    Substep i writes decay * u + gain * (f_mid - B(u)) of u = states[i]
+    into states[i + 1], in work arrays allocated once per call.  A
+    non-finite u raises ``FloatingPointError`` with ``step_index`` i; a
+    norm above ``cfg.blowup_threshold``, checked on every 64th u and on
+    the endpoint, raises ``DivergedTrajectoryError``.
+    """
     u0 = basis._check_dim(u0, spec)
-    ops = grid_operators(spec, cfg.nx, cfg.nyq)
+    ops = grid_operators(spec)
     decay, gain = _factors(spec, cfg.dt)
     n = cfg.n_substeps
     total = n_units * n
@@ -137,14 +171,22 @@ def flow(u0: np.ndarray, eta, spec: DomainSpec, cfg: SolverConfig,
     lam1 = poincare_constant(spec)
     states = np.empty((total + 1, u0.shape[0]))
     states[0] = u0
-    u = u0.copy()
+    work = _advection_work(ops, alpha, u0.shape)
     for i in range(total):
-        u = decay * u + gain * (f_mid[i] - _advection(u, ops))
-        states[i + 1] = u
-        if i % 64 == 0 or i == total - 1:
-            nrm = math.sqrt(float(u @ u))
-            if not np.isfinite(nrm) or nrm > cfg.blowup_threshold:
-                raise DivergedTrajectoryError(i, nrm)
+        u, nxt = states[i], states[i + 1]
+        try:
+            adv = _advection(u, ops, work)
+            # nxt = decay * u + gain * (f_mid - adv)
+            np.subtract(f_mid[i], adv, out=adv)
+            np.multiply(gain, adv, out=adv)
+            np.multiply(decay, u, out=nxt)
+            np.add(nxt, adv, out=nxt)
+        except FloatingPointError as exc:
+            exc.step_index = i
+            raise
+        if i % 64 == 0:
+            _check_norm(u, i, cfg.blowup_threshold)
+    _check_norm(states[total], total, cfg.blowup_threshold)
 
     times = np.arange(total + 1) * cfg.dt
     sq = states * states
@@ -182,7 +224,7 @@ def energy_identity_residual(traj: Trajectory, spec: DomainSpec) -> float:
 def _separable_work(ops, n: int) -> tuple[np.ndarray, ...]:
     """Work arrays of ``_separable_advection`` for an n-column stack."""
     mxs, ny = ops.scale.shape
-    nyp = ops.nyq + 1
+    nyp = ops.cy.shape[0]
     return (np.empty((2, mxs, ny, n)), np.empty((2, mxs, nyp, n)),
             np.empty((2, mxs, nyp, n)), np.empty((4, ops.nx, nyp * n)),
             np.empty((mxs, nyp, n)), np.empty((mxs, ny, n)))
@@ -196,7 +238,7 @@ def _separable_advection(v, ops, work):
     column costs about a quarter of the dense products' flops.  The result
     is the last work array, overwritten by the next call.
     """
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise FloatingPointError("non-finite coefficients in advection input")
     ab, c, s, grid, h, out = work
     mxs, ny, n = out.shape
@@ -229,7 +271,7 @@ def _advance_stack(states: np.ndarray, kick_coeffs: np.ndarray | None,
     ``np.errstate``) carries its substep as ``step_index``, so that the
     errors of split parts can be ordered.
     """
-    ops = grid_operators(spec, cfg.nx, cfg.nyq)
+    ops = grid_operators(spec)
     n_sub = cfg.n_substeps
     to_slots = np.argsort(ops.slot)
     decay, gain = (v[to_slots, None] for v in _factors(spec, cfg.dt))

@@ -15,7 +15,7 @@ import os
 import platform
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -69,24 +69,17 @@ CORR_DRAWS = 100_000
 
 @dataclass
 class RunManifest:
+    """Outputs, seconds per stage (``wall_clock_s`` is the whole run) and
+    work counts, such as the ``substeps`` stepped in stage ``integrate``."""
+
     config: dict
     experiment: str
     artifact_version: str = __version__
     wall_clock_s: float = 0.0
     stages: dict = field(default_factory=dict)
+    counts: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
     provenance: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "artifact_version": self.artifact_version,
-            "experiment": self.experiment,
-            "config": self.config,
-            "wall_clock_s": self.wall_clock_s,
-            "stages": self.stages,
-            "outputs": self.outputs,
-            "provenance": self.provenance,
-        }
 
 
 def _provenance() -> dict:
@@ -107,7 +100,8 @@ def _provenance() -> dict:
 
 
 class _Emitter:
-    """Collects output files, their content hashes and stage timings for the manifest."""
+    """Collects output files, their content hashes, stage timings and work
+    counts for the manifest."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
@@ -117,6 +111,7 @@ class _Emitter:
             raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
         self.records = []
         self.stages = {}
+        self.counts = {}
 
     @contextmanager
     def timed(self, stage: str):
@@ -126,6 +121,9 @@ class _Emitter:
             yield
         finally:
             self.stages[stage] = self.stages.get(stage, 0.0) + time.perf_counter() - t0
+
+    def count(self, name: str, n: int) -> None:
+        self.counts[name] = self.counts.get(name, 0) + n
 
     def write_text(self, name: str, text: str) -> Path:
         path = self.out_dir / name
@@ -247,19 +245,19 @@ def _mix_start(ec: ExperimentConfig, opts: dict):
     return ens_a, ens_b, _rows_load(resume, ens_a.kick_index)
 
 
-def _resolve_inputs(ec: ExperimentConfig, opts: dict) -> None:
+def _resolve_inputs(ec: ExperimentConfig, experiment: str, opts: dict) -> None:
     """Replace the fields, kicks and ensembles that ``opts`` names by their values.
 
     Runs before the output directory is made, so that a bad input leaves
     nothing behind.
     """
     spec = ec.domain
-    if ec.experiment in ("simulate", "linearize"):
+    if experiment in ("simulate", "linearize"):
         opts["u0"] = _resolve_u0(spec, opts["u0"])
-    if ec.experiment == "linearize":
+    if experiment == "linearize":
         kick = opts["kick"]
         opts["kick"] = _resolve_kick(ec, f"seed:{ec.sampling_seed}" if kick is None else kick)
-    if ec.experiment == "mix":
+    if experiment == "mix":
         opts["start"] = _mix_start(ec, opts)
 
 
@@ -275,39 +273,50 @@ def _run_simulate(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
     rows = []
     for k in range(n_kicks):
         eta = sample_kick(ec.noise, spec, kick_rng(seed, 0, k))
-        traj = flow(u, eta, spec, cfg)
+        with em.timed("integrate"):
+            traj = flow(u, eta, spec, cfg)
         u = traj.endpoint
-        res = energy_identity_residual(traj, spec)
-        nh, nv, _ = norms(u, spec)
+        with em.timed("energy"):
+            res = energy_identity_residual(traj, spec)
+            nh, nv, _ = norms(u, spec)
         rows.append((k, nh, nv, res))
-    em.write_csv("per_kick.csv", "k,normH,normV,energy_residual", rows)
-    endpoint = em.out_dir / "endpoint_field.csv"
-    save_field(u, endpoint)
-    em.register(endpoint)
+    em.count("substeps", n_kicks * cfg.n_substeps)
+    with em.timed("io"):
+        em.write_csv("per_kick.csv", "k,normH,normV,energy_residual", rows)
+        endpoint = em.out_dir / "endpoint_field.csv"
+        save_field(u, endpoint)
+        em.register(endpoint)
 
 
 def _run_linearize(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
     spec, cfg = ec.domain, ec.solver
-    base = flow(opts["u0"], opts["kick"], spec, cfg)
-    ops = linearize_kick(base, spec, cfg, ec.noise)
-    sig = compactness_diagnostic(ops)
-    em.write_csv("psi1_diagonal.csv", "index,psi1", list(enumerate(ops.psi1)))
-    em.write_csv("psi2_singular_values.csv", "index,sigma", list(enumerate(sig)))
-    em.write_csv("gram_spectrum.csv", "index,eigenvalue",
-                 list(enumerate(ops.gram_eigvals[::-1])))
-    if opts["full"]:
-        for name, mat in (("psi2_matrix.csv", ops.psi2), ("a_matrix.csv", ops.a_matrix)):
-            rows = [tuple(r) for r in mat]
-            em.write_csv(name, ",".join(f"c{j}" for j in range(mat.shape[1])), rows)
+    with em.timed("integrate"):
+        base = flow(opts["u0"], opts["kick"], spec, cfg)
+    em.count("substeps", cfg.n_substeps)
+    with em.timed("linearize"):
+        ops = linearize_kick(base, spec, cfg, ec.noise)
+        sig = compactness_diagnostic(ops)
+    with em.timed("io"):
+        em.write_csv("psi1_diagonal.csv", "index,psi1", list(enumerate(ops.psi1)))
+        em.write_csv("psi2_singular_values.csv", "index,sigma", list(enumerate(sig)))
+        em.write_csv("gram_spectrum.csv", "index,eigenvalue",
+                     list(enumerate(ops.gram_eigvals[::-1])))
+        if opts["full"]:
+            for name, mat in (("psi2_matrix.csv", ops.psi2), ("a_matrix.csv", ops.a_matrix)):
+                rows = [tuple(r) for r in mat]
+                em.write_csv(name, ",".join(f"c{j}" for j in range(mat.shape[1])), rows)
 
 
-def _absorbed_start(ec: ExperimentConfig, traj_id: int) -> np.ndarray:
+def _absorbed_start(ec: ExperimentConfig, traj_id: int, em: _Emitter) -> np.ndarray:
     """A state inside the absorbing set, reached by a short seeded run."""
     spec, cfg = ec.domain, ec.solver
     u = np.zeros(spec.n_modes)
-    for k in range(k_star(9.0, spec, ec.noise) + 1):
-        eta = sample_kick(ec.noise, spec, kick_rng(ec.sampling_seed ^ 0x5EED, traj_id, k))
-        u = flow(u, eta, spec, cfg).endpoint
+    n_kicks = k_star(9.0, spec, ec.noise) + 1
+    with em.timed("integrate"):
+        for k in range(n_kicks):
+            eta = sample_kick(ec.noise, spec, kick_rng(ec.sampling_seed ^ 0x5EED, traj_id, k))
+            u = flow(u, eta, spec, cfg).endpoint
+    em.count("substeps", n_kicks * cfg.n_substeps)
     return u
 
 
@@ -321,7 +330,7 @@ def _run_couple(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
     ctl = None
     reports = []
     for pair in range(n_pairs):
-        u0 = _absorbed_start(ec, traj_id=1000 + pair)
+        u0 = _absorbed_start(ec, 1000 + pair, em)
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(entropy=seed, spawn_key=(0xCA, pair))))
         w = rng.standard_normal(spec.n_modes)
@@ -330,30 +339,36 @@ def _run_couple(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
             if ec.control_rank is not None and ec.control_gamma is not None:
                 ctl = ControlConfig(ec.control_rank, ec.control_gamma, delta)
             else:
-                base = flow(u0, sample_kick(ec.noise, spec, kick_rng(seed, pair, 0)),
-                            spec, cfg)
-                ops = linearize_kick(base, spec, cfg, ec.noise)
-                ctl = tune(ops, ec.control_epsilon_target, ec.noise, spec, delta)
+                with em.timed("integrate"):
+                    base = flow(u0, sample_kick(ec.noise, spec, kick_rng(seed, pair, 0)),
+                                spec, cfg)
+                em.count("substeps", cfg.n_substeps)
+                with em.timed("linearize"):
+                    ops = linearize_kick(base, spec, cfg, ec.noise)
+                with em.timed("tune"):
+                    ctl = tune(ops, ec.control_epsilon_target, ec.noise, spec, delta)
                 log.info("tuned control: M=%d gamma=%g", ctl.rank, ctl.gamma)
-        report = couple(u0, u0p, seed, n_steps, spec, cfg, ctl, ec.noise, traj_id=pair)
+        with em.timed("couple"):
+            report = couple(u0, u0p, seed, n_steps, spec, cfg, ctl, ec.noise, traj_id=pair)
         if len(report.steps) < n_steps:
             log.info("pair %d coupled to distance < 1e-14 after %d of %d steps",
                      pair, len(report.steps), n_steps)
         reports.append(report)
         rows.extend(zip([pair] * len(report.steps), report.steps, report.distances,
                         report.qhats, report.phi_norms, report.eps_hats))
-    em.write_csv("coupling_steps.csv", "pair,k,dist,qhat,phi_norm,eps_hat", rows)
-    em.write_json("coupling_summary.json", {
-        "q_geo_mean": max(r.q_geo_mean for r in reports),
-        "q_max": max(r.q_max for r in reports),
-        "C_hat": max(r.c_hat for r in reports),
-        "M": ctl.rank,
-        "gamma": ctl.gamma,
-        "delta": delta,
-        "pairs": n_pairs,
-        "steps": max(len(r.steps) for r in reports),
-        "steps_requested": n_steps,
-    })
+    with em.timed("io"):
+        em.write_csv("coupling_steps.csv", "pair,k,dist,qhat,phi_norm,eps_hat", rows)
+        em.write_json("coupling_summary.json", {
+            "q_geo_mean": max(r.q_geo_mean for r in reports),
+            "q_max": max(r.q_max for r in reports),
+            "C_hat": max(r.c_hat for r in reports),
+            "M": ctl.rank,
+            "gamma": ctl.gamma,
+            "delta": delta,
+            "pairs": n_pairs,
+            "steps": max(len(r.steps) for r in reports),
+            "steps_requested": n_steps,
+        })
 
 
 def _load_compact(ec: ExperimentConfig, name: str, n_particles: int,
@@ -514,29 +529,29 @@ EXPERIMENT_OPTIONS = {
 }
 
 
-def run(ec: ExperimentConfig, opts: dict | None = None) -> RunManifest:
-    """Dispatch to the configured experiment and write outputs + manifest.
+def run(ec: ExperimentConfig, experiment: str, opts: dict | None = None) -> RunManifest:
+    """Run one experiment of ``EXPERIMENT_OPTIONS`` and write outputs + manifest.
 
     ``opts`` holds the experiment's options that are given, the others
     taking their defaults from ``EXPERIMENT_OPTIONS``, and optionally
     ``out``, the output directory.
     """
-    runner, defaults = EXPERIMENT_OPTIONS[ec.experiment]
+    runner, defaults = EXPERIMENT_OPTIONS[experiment]
     opts = {**defaults, **(opts or {})}
     out_dir = Path(opts.pop("out", None) or ec.out_dir)
     _check_options(ec, opts)
-    _resolve_inputs(ec, opts)
+    _resolve_inputs(ec, experiment, opts)
     em = _Emitter(out_dir)
-    manifest = RunManifest(config=config_snapshot(ec), experiment=ec.experiment,
+    manifest = RunManifest(config=config_snapshot(ec), experiment=experiment,
                            provenance=_provenance())
     t0 = time.perf_counter()
     runner(ec, opts, em)
-    manifest.stages.update(em.stages)
-    manifest.stages[ec.experiment] = time.perf_counter() - t0
     manifest.wall_clock_s = time.perf_counter() - t0
+    manifest.stages = em.stages
+    manifest.counts = em.counts
     manifest.outputs = em.records
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
     return manifest
 
 

@@ -21,7 +21,6 @@ from .noise import NoiseSpec, legendre_values
 
 __all__ = [
     "TangentOperators",
-    "bilinear_q",
     "linearize_kick",
     "gram_limit_check",
     "compactness_diagnostic",
@@ -46,69 +45,47 @@ class TangentOperators:
     gram_eigvecs: np.ndarray
 
 
-def bilinear_q(a: np.ndarray, bvec: np.ndarray, spec: DomainSpec,
-               cfg: SolverConfig | None = None) -> np.ndarray:
-    """Symmetrised advection Q(a, b) = P(a.grad b) + P(b.grad a).
-
-    Taken in vorticity form: <Q(a, b), e_k> = <a.grad omega_b +
-    b.grad omega_a, psi_k>.  This is the polarisation of
-    curl(u.grad u) = u.grad omega, and the integration by parts behind it
-    has no boundary term because psi_k vanishes on the free-slip walls; the
-    dealiased grid integrates the cubic integrand exactly (see
-    ``GridOperators``).  ``bvec`` may be a (K,) vector or a (K, n) column
-    stack with ``a`` fixed.
-    """
-    cfg = cfg or SolverConfig()
-    ops = grid_operators(spec, cfg.nx, cfg.nyq)
-    return _q_on_grid(_grid_fields(a, ops), bvec, ops)
-
-
-def _grid_fields(a: np.ndarray, ops):
-    """u1, u2, omega_x, omega_y of one state on the grid, shape (4, npts)."""
-    a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise FloatingPointError("non-finite coefficients in bilinear form input")
-    return (ops.syn4 @ a).reshape(4, ops.n_points)
-
-
-def _q_on_grid(af, bvec, ops):
-    """Q(a, .) applied to columns of bvec, with a's grid fields precomputed."""
-    a1, a2, awx, awy = af.reshape((4, ops.n_points) + (1,) * (bvec.ndim - 1))
-    b1, b2, bwx, bwy = (ops.syn4 @ bvec).reshape((4, ops.n_points) + bvec.shape[1:])
-    return ops.ana1 @ (a1 * bwx + a2 * bwy + b1 * awx + b2 * awy)
-
-
 def _propagate(base: Trajectory, w0: np.ndarray, source: np.ndarray,
                spec: DomainSpec, cfg: SolverConfig) -> np.ndarray:
     """Advance the (K, m) stack w0 through the flow linearised along ``base``.
 
-    Substep i steps w <- decay*w - gain*(J_i @ w), where J_i is Q(a_i, .)
-    written as a K x K matrix.  Since Q(a, b) = ana1 @ (a1*b_wx + a2*b_wy +
-    a_wx*b1 + a_wy*b2) is linear in b and b's grid fields are syn4 @ b,
-    J_i = ana1 @ (a1*S_wx + a2*S_wy + a_wx*S_u1 + a_wy*S_u2), with S_f the
-    f-block of syn4 and each of a_i's grid fields scaling its rows.  This is
-    the same linear map as Q(a_i, .) on the columns, so only rounding
-    differs; the grid work per substep is one K x npts x K product, however
-    many columns w has.
+    Substep i steps w <- decay*w - gain*(J_i @ w), where J_i is the
+    symmetrised advection Q(a_i, .) = P(a_i . grad .) + P(. . grad a_i)
+    written as a K x K matrix.  In vorticity form (see ``GridOperators``)
+    Q(a, b) = ana1 @ (a1*b_wx + a2*b_wy + a_wx*b1 + a_wy*b2), which is
+    linear in b, so J_i = ana1 @ (a1*S_wx + a2*S_wy + a_wx*S_u1 +
+    a_wy*S_u2), with each of a_i's grid fields scaling the rows of a
+    synthesis block: S_u1 and S_u2 are the halves of ``syn2``, and
+    S_wx = -S_u2 alpha, S_wy = S_u1 alpha.  Those four blocks are formed
+    once per call, and a_i's grid fields once per substep by one product
+    of ``syn2`` with [a_i, alpha a_i]; the grid work per substep is one
+    K x npts x K product, however many columns w has.
 
     ``source`` holds tau_p(t) at the substep midpoints, shape (n_substeps, P).
     The last P*K columns are driven by the noise basis elements tau_p e_k in
     p-major order, so they carry D_eta S; the columns before them see no
     source and carry D_u S applied to their start values.
     """
-    ops = grid_operators(spec, cfg.nx, cfg.nyq)
+    ops = grid_operators(spec)
     decay, gain = _factors(spec, cfg.dt)
     K = spec.n_modes
     n_src = source.shape[1] * K
     rows = np.arange(K)
     cols = w0.shape[1] - n_src + np.arange(n_src).reshape(-1, K)  # (P, K)
-    # (npts, 4, K): block f is the syn4 block that a's field f scales,
-    # S_wx, S_wy, S_u1 and S_u2 for a1, a2, a_wx and a_wy
-    syn = ops.syn4.reshape(4, ops.n_points, K)[[2, 3, 0, 1]].transpose(1, 0, 2).copy()
+    if not np.isfinite(base.states[:-1]).all():
+        raise FloatingPointError("non-finite coefficients in the base trajectory")
+    alpha = eigenvalues(spec)
+    s1, s2 = ops.syn2.reshape(2, ops.n_points, K)
+    # syn2 @ [a, alpha * a] gives, per node, (a1, a_wy, a2, -a_wx): the
+    # fields that scale S_wx, S_u2, S_wy and -S_u1, stacked (npts, 4, K)
+    syn = np.stack([-s2 * alpha, s2, s1 * alpha, -s1], axis=1)
+    ab = np.empty((K, 2))
     w = np.array(w0, dtype=float)
     for i in range(base.states.shape[0] - 1):
-        af = _grid_fields(base.states[i], ops).T  # (npts, 4)
-        jac = ops.ana1 @ (af[:, None, :] @ syn)[:, 0]
+        ab[:, 0] = base.states[i]
+        np.multiply(alpha, base.states[i], out=ab[:, 1])
+        af = (ops.syn2 @ ab).reshape(2, ops.n_points, 2).transpose(1, 0, 2).reshape(-1, 1, 4)
+        jac = ops.ana1 @ (af @ syn)[:, 0]
         w = decay[:, None] * w - gain[:, None] * (jac @ w)
         w[rows, cols] += gain * source[i][:, None]
     return w

@@ -29,7 +29,6 @@ __all__ = [
     "kick_rng",
     "sample_kick",
     "eval_kick",
-    "project_pm",
     "support_bound",
     "save_kick",
     "load_kick",
@@ -164,17 +163,6 @@ def eval_kick(eta: KickPath, t) -> np.ndarray:
     """Pointwise value sum_p tau_p(t) * row_p; shape (K,) or (len(t), K)."""
     tau = legendre_values(eta.coeffs.shape[0], t)
     return tau @ eta.coeffs
-
-
-def project_pm(eta: KickPath, m_rank: int, noise: NoiseSpec, spec: DomainSpec) -> KickPath:
-    """Keep only the first m_rank coordinates in decreasing-amplitude order."""
-    flat = eta.coeffs.ravel()
-    if not 0 <= m_rank <= flat.size:
-        raise ValueError(f"projection rank {m_rank} out of range [0, {flat.size}]")
-    keep = pm_order(noise, spec)[:m_rank]
-    out = np.zeros_like(flat)
-    out[keep] = flat[keep]
-    return KickPath(out.reshape(eta.coeffs.shape))
 
 
 def support_bound(noise: NoiseSpec, spec: DomainSpec) -> tuple[float, float]:

@@ -18,6 +18,7 @@ from kickflow.basis import (
     save_field,
     stokes_eigenvalue,
 )
+from reference import velocity_form_operators
 
 
 class TestDomainSpec:
@@ -116,51 +117,58 @@ class TestGridTransforms:
 
     @pytest.mark.parametrize("factor", [1, 2], ids=["minimal", "doubled"])
     def test_orthonormality(self, spec, factor):
-        """<e_j, e_k> by the trapezoid rule on the grid is the identity."""
+        """<e_j, e_k> by the trapezoid rule on the full grid, walls included, is
+        the identity; the library's tables are its interior rows."""
         nx, nyq = (factor * n for n in min_grid(spec))
-        ops = grid_operators(spec, nx, nyq)
-        assert ops.syn4.shape == (4 * nx * (nyq + 1), spec.n_modes)
-        wy = np.full(nyq + 1, 1.0 / nyq)
-        wy[[0, -1]] *= 0.5
-        w = np.outer(np.full(nx, spec.length / nx), wy).ravel()
-        u1, u2 = ops.syn4.reshape(4, ops.n_points, spec.n_modes)[:2]
-        gram = u1.T @ (w[:, None] * u1) + u2.T @ (w[:, None] * u2)
+        syn, ana = velocity_form_operators(spec, nx, nyq)
+        gram = ana @ syn[:2].reshape(-1, spec.n_modes)
         assert np.abs(gram - np.eye(spec.n_modes)).max() < 1e-13
+        ops = grid_operators(spec, nx, nyq)
+        interior = syn[:2].reshape(2, nx, nyq + 1, spec.n_modes)[:, :, 1:-1]
+        assert np.abs(ops.syn2 - interior.reshape(ops.syn2.shape)).max() < 1e-13
 
     @pytest.mark.parametrize("factor", [1, 2], ids=["minimal", "doubled"])
     def test_dense_matrices_from_factors(self, spec, factor):
-        """``syn4`` and ``ana1`` are exactly the products of the 1-D factors."""
+        """``syn2`` and ``ana1`` are exactly the products of the 1-D factors."""
         nx, nyq = (factor * n for n in min_grid(spec))
         ops = grid_operators(spec, nx, nyq)
         K, npts = spec.n_modes, ops.n_points
+        assert npts == nx * (nyq - 1)
         assert np.array_equal(np.sort(ops.slot), np.arange(K))
         qx = np.full(nx, spec.length / nx)
-        qy = np.full(nyq + 1, 1.0 / nyq)
-        qy[[0, -1]] *= 0.5
+        qy = np.full(nyq - 1, 1.0 / nyq)
         assert np.array_equal(ops.exw, (ops.ex * qx[:, None]).T)
         assert np.array_equal(ops.syw, (ops.sy * qy[:, None]).T)
-        syn = np.empty((4, npts, K))
+        syn = np.empty((2, npts, K))
         ana = np.empty((K, npts))
         for j, mo in enumerate(mode_table(spec)):
             i, n = mo.m + spec.mx, mo.n - 1
             assert ops.slot[j] == i * spec.ny + n
-            s, a = ops.scale[i, n], ops.alpha[i, n]
-            u1 = s * np.outer(ops.ex[:, i], ops.cy[:, n]).ravel()
-            u2 = -s * np.outer(ops.dex[:, i], ops.sy[:, n]).ravel()
-            syn[:, :, j] = u1, u2, -a * u2, a * u1
+            s = ops.scale[i, n]
+            syn[0, :, j] = s * np.outer(ops.ex[:, i], ops.cy[:, n]).ravel()
+            syn[1, :, j] = -s * np.outer(ops.dex[:, i], ops.sy[:, n]).ravel()
             ana[j] = s * np.outer(ops.ex[:, i], ops.sy[:, n]).ravel() * np.outer(qx, qy).ravel()
-        assert np.array_equal(syn.reshape(4 * npts, K), ops.syn4)
+        assert np.array_equal(syn.reshape(2 * npts, K), ops.syn2)
         assert np.array_equal(ana, ops.ana1)
         # BLAS rounds a product with an F-ordered matrix differently
-        assert ops.syn4.flags.c_contiguous and ops.ana1.flags.c_contiguous
+        assert ops.syn2.flags.c_contiguous and ops.ana1.flags.c_contiguous
 
     def test_divergence_free_on_grid(self, spec):
-        """Free-slip walls: the normal velocity vanishes at y = 0 and y = 1."""
-        ops = grid_operators(spec)
-        u2 = ops.syn4[ops.n_points:2 * ops.n_points] @ np.ones(spec.n_modes)
-        u2 = u2.reshape(ops.nx, ops.nyq + 1)
+        """Free-slip walls: the normal velocity and every stream function vanish
+        at y = 0 and y = 1, so the wall nodes, which the tables leave out, carry
+        no analysis weight beyond rounding."""
+        nx, nyq = min_grid(spec)
+        syn, _ = velocity_form_operators(spec, nx, nyq)
+        u2 = (syn[1] @ np.ones(spec.n_modes)).reshape(nx, nyq + 1)
         assert np.abs(u2[:, 0]).max() < 1e-12
         assert np.abs(u2[:, -1]).max() < 1e-12
+        ana1 = grid_operators(spec).ana1
+        assert ana1.shape == (spec.n_modes, nx * (nyq - 1))
+        # |psi_k| <= s_k |sin(pi n y)| at a wall node, whose weight is (L / nx) / (2 nyq)
+        wall = max(abs(math.sin(math.pi * mo.n * y)) * (spec.length / nx) / (2 * nyq)
+                   / math.sqrt(stokes_eigenvalue(mo, spec) * spec.length * (0.5 if mo.m else 1) / 2)
+                   for mo in mode_table(spec) for y in (0.0, 1.0))
+        assert wall <= 1e-15 * np.abs(ana1).max()
 
 
 class TestFieldSerialisation:

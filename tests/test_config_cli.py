@@ -18,12 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kickflow import cli, errors, experiments
+from kickflow import DomainSpec, NoiseSpec, cli, errors, experiments
 from kickflow._blas import blas_threads
 from kickflow.basis import save_field
-from kickflow.config import _KEYS, EXPERIMENTS, config_snapshot, load_config, parse_config
+from kickflow.config import _KEYS, config_snapshot, load_config, parse_config
 from kickflow.errors import ConfigError
-from kickflow.ergodicity import make_compact
+from kickflow.ergodicity import k_star, make_compact
 from kickflow.experiments import checkpoint_load, checkpoint_save, run
 
 
@@ -42,7 +42,6 @@ class TestConfigParsing:
         assert ec.domain.viscosity == 0.1
         assert ec.solver.dt == 1e-3
         assert ec.noise.p_order == 2
-        assert ec.experiment == "simulate"
         assert ec.seed == 0
 
     def test_full_round_trip(self):
@@ -57,7 +56,6 @@ class TestConfigParsing:
         noise.B0 = 0.5
         control.gamma = 1e-4
         control.M = 40
-        experiment = couple
         seed = 99
         out_dir = results
         """
@@ -68,7 +66,6 @@ class TestConfigParsing:
         assert ec.noise.p_order == 3
         assert ec.control_gamma == 1e-4
         assert ec.control_rank == 40
-        assert ec.experiment == "couple"
         assert ec.seed == 99
         assert ec.out_dir == "results"
 
@@ -89,8 +86,9 @@ class TestConfigParsing:
             parse_config("domain.viscosity = -0.1\n")
 
     def test_unknown_experiment(self):
-        with pytest.raises(ConfigError, match="experiment"):
-            parse_config("experiment = fly\n")
+        """The subcommand names the experiment; a config key for it is unknown."""
+        with pytest.raises(ConfigError, match="unknown key 'experiment'"):
+            parse_config("experiment = mix\n")
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="key = value"):
@@ -106,14 +104,13 @@ class TestConfigParsing:
             load_config(tmp_path / "nope.cfg")
 
     def test_snapshot_is_complete(self):
-        snap = config_snapshot(parse_config("domain.mx = 2\nsolver.nx = 12\n"
+        snap = config_snapshot(parse_config("domain.mx = 2\nsolver.dt = 0.01\n"
                                             "control.M = 40\nnoise.seed = 11\n"))
         assert snap == {
             "domain": {"length": 4.0, "viscosity": 0.1, "damping": 0.0, "mx": 2, "ny": 5},
-            "solver": {"dt": 1e-3, "nx": 12, "nyq": None},
+            "solver": {"dt": 0.01},
             "noise": {"P": 2, "B0": 1.0, "s_t": 2.0, "s_x": 1.0},
             "control": {"M": 40, "gamma": None, "delta": 1e-2, "epsilon_target": 0.1},
-            "experiment": "simulate",
             "seed": 0,
             "noise_seed": 11,
             "out_dir": "out",
@@ -129,7 +126,7 @@ class TestOptionTable:
     """The experiment names and their options are listed once, in EXPERIMENT_OPTIONS."""
 
     def test_subcommands_are_the_experiments(self):
-        assert list(_subcommands()) == list(EXPERIMENTS) == list(experiments.EXPERIMENT_OPTIONS)
+        assert list(_subcommands()) == list(experiments.EXPERIMENT_OPTIONS)
 
     def test_subcommand_options_are_the_table_options(self):
         for name, sub in _subcommands().items():
@@ -200,7 +197,7 @@ class TestCliExitCodes:
 class TestManifest:
     def test_hashes_match_outputs(self, tmp_path):
         ec = parse_config("solver.dt = 0.01\nout_dir = " + str(tmp_path / "m"))
-        manifest = run(ec, {"kicks": 1})
+        manifest = run(ec, "simulate", {"kicks": 1})
         data = json.loads((tmp_path / "m" / "manifest.json").read_text())
         assert data["experiment"] == "simulate"
         assert data["config"]["solver"]["dt"] == 0.01
@@ -211,7 +208,7 @@ class TestManifest:
         assert manifest.outputs == data["outputs"]
 
     def test_provenance(self, tmp_path):
-        run(parse_config("experiment = spectrum\nout_dir = " + str(tmp_path / "m")))
+        run(parse_config("out_dir = " + str(tmp_path / "m")), "spectrum")
         data = json.loads((tmp_path / "m" / "manifest.json").read_text())
         prov = data["provenance"]
         assert prov["python"] == platform.python_version()
@@ -221,12 +218,35 @@ class TestManifest:
         assert prov["stepping_threads"] in (1, 2)
 
     def test_mix_stage_timings(self, tmp_path):
-        ec = parse_config(FAST_LINES + "experiment = mix\nout_dir = " + str(tmp_path / "m"))
-        run(ec, {"particles": 8, "kicks": 2, "checkpoint": str(tmp_path / "ck.txt")})
-        stages = json.loads((tmp_path / "m" / "manifest.json").read_text())["stages"]
-        parts = [stages[name] for name in ("ensemble_step", "distances", "checkpoint")]
+        ec = parse_config(FAST_LINES + "out_dir = " + str(tmp_path / "m"))
+        run(ec, "mix", {"particles": 8, "kicks": 2, "checkpoint": str(tmp_path / "ck.txt")})
+        data = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        parts = [data["stages"][name] for name in ("ensemble_step", "distances", "checkpoint")]
         assert all(t > 0 for t in parts)
-        assert sum(parts) <= stages["mix"]
+        assert sum(parts) <= data["wall_clock_s"]
+
+    @pytest.mark.parametrize("experiment, opts, stages, kicks", [
+        ("simulate", {"kicks": 2}, {"integrate", "energy", "io"}, 2),
+        ("linearize", {}, {"integrate", "linearize", "io"}, 1),
+        # the absorbed start, then the base kick of the tuning
+        ("couple", {"steps": 1}, {"integrate", "linearize", "tune", "couple", "io"},
+         k_star(9.0, DomainSpec(4.0, 0.1), NoiseSpec()) + 2),
+    ])
+    def test_stage_timings_and_substeps(self, tmp_path, monkeypatch, experiment, opts,
+                                        stages, kicks):
+        """The stages fit inside the run, and the data files are the same bytes
+        when the timers do nothing."""
+        ec = parse_config(FAST_LINES)
+        manifest = run(ec, experiment, {**opts, "out": tmp_path / "timed"})
+        assert set(manifest.stages) == stages
+        assert all(t > 0 for t in manifest.stages.values())
+        assert sum(manifest.stages.values()) <= manifest.wall_clock_s
+        assert manifest.counts == {"substeps": kicks * ec.solver.n_substeps}
+        monkeypatch.setattr(experiments._Emitter, "timed",
+                            lambda self, stage: contextlib.nullcontext())
+        untimed = run(ec, experiment, {**opts, "out": tmp_path / "untimed"})
+        assert untimed.stages == {}
+        assert [r["sha256"] for r in untimed.outputs] == [r["sha256"] for r in manifest.outputs]
 
 
 def test_cli_import_leaves_scipy_out():
@@ -238,7 +258,7 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_unclassified_failure_is_one_json_line_with_exit_1(tmp_path, monkeypatch, capsys):
-    def broken(ec, opts):
+    def broken(ec, experiment, opts):
         raise RuntimeError("boom")
 
     monkeypatch.delenv("KICKFLOW_LOG", raising=False)
@@ -252,10 +272,10 @@ def test_unclassified_failure_is_one_json_line_with_exit_1(tmp_path, monkeypatch
 class TestCoupleSummary:
     def test_steps_reports_the_steps_run(self, tmp_path, caplog):
         """The pair reaches distance 1e-14 after about 27 steps and stops."""
-        ec = parse_config(FAST_LINES + "experiment = couple\ncontrol.M = 55\n"
+        ec = parse_config(FAST_LINES + "control.M = 55\n"
                           "control.gamma = 0.1\nout_dir = " + str(tmp_path))
         with caplog.at_level(logging.INFO, logger="kickflow"):
-            run(ec, {"steps": 40})
+            run(ec, "couple", {"steps": 40})
         summary = json.loads((tmp_path / "coupling_summary.json").read_text())
         rows = (tmp_path / "coupling_steps.csv").read_text().splitlines()[1:]
         assert summary["steps_requested"] == 40
@@ -365,16 +385,17 @@ class TestResume:
         rows_after_one = (tmp_path / "ck.txt.rows").read_bytes()
         self._mix(tmp_path, "two", 2, "--checkpoint", str(ck))
         (tmp_path / "ck.txt.rows").write_bytes(rows_after_one)
-        ec = parse_config(FAST_LINES + "experiment = mix\nseed = 4\n")
+        ec = parse_config(FAST_LINES + "seed = 4\n")
+        opts = {"out": tmp_path / "res", "particles": 16, "kicks": 3}
         with pytest.raises(ConfigError, match="1 rows, but checkpoint"):
-            run(ec, {"out": tmp_path / "res", "particles": 16, "kicks": 3, "resume": str(ck)})
+            run(ec, "mix", {**opts, "resume": str(ck)})
         (tmp_path / "ck.txt.rows").unlink()
         with pytest.raises(ConfigError, match="cannot read"):
-            run(ec, {"out": tmp_path / "res", "particles": 16, "kicks": 3, "resume": str(ck)})
+            run(ec, "mix", {**opts, "resume": str(ck)})
 
     def test_stop_between_the_two_checkpoint_writes(self, tmp_path, monkeypatch):
         """A run stopped after the first of a checkpoint's two files still resumes."""
-        ec = parse_config(FAST_LINES + "experiment = mix\nseed = 4\n")
+        ec = parse_config(FAST_LINES + "seed = 4\n")
         ck = tmp_path / "ck.txt"
         opts = {"particles": 16, "kicks": 4}
         write = experiments._atomic_write
@@ -388,10 +409,10 @@ class TestResume:
 
         monkeypatch.setattr(experiments, "_atomic_write", stop_at_the_fourth)
         with pytest.raises(_Stopped):
-            run(ec, {**opts, "out": tmp_path / "cut", "checkpoint": str(ck)})
+            run(ec, "mix", {**opts, "out": tmp_path / "cut", "checkpoint": str(ck)})
         monkeypatch.undo()
-        run(ec, {**opts, "out": tmp_path / "res", "resume": str(ck)})
-        run(ec, {**opts, "out": tmp_path / "full"})
+        run(ec, "mix", {**opts, "out": tmp_path / "res", "resume": str(ck)})
+        run(ec, "mix", {**opts, "out": tmp_path / "full"})
         for name in ("mix_distances.csv", "mix_summary.json"):
             full = (tmp_path / "full" / name).read_bytes()
             assert (tmp_path / "res" / name).read_bytes() == full, name
@@ -409,6 +430,9 @@ BAD_INPUTS = {
     "missing-checkpoint": ("mix", "--resume", "/nonexistent/ck.txt"),
     "missing-compact-file": ("mix", "--compact", "/nonexistent/points.csv"),
     "grid-below-minimum": ("--config", "{tmp}/coarse.cfg", "simulate", "--kicks", "1"),
+    "grid-key-is-unknown": ("--config", "{tmp}/huge-grid.cfg", "simulate", "--kicks", "1"),
+    "experiment-key-is-unknown": ("--config", "{tmp}/experiment.cfg", "simulate",
+                                  "--kicks", "0"),
     "damping-nan": ("--config", "{tmp}/damping-nan.cfg", "simulate", "--kicks", "1"),
     "viscosity-inf": ("--config", "{tmp}/viscosity-inf.cfg", "simulate", "--kicks", "1"),
     "length-inf": ("--config", "{tmp}/length-inf.cfg", "simulate", "--kicks", "1"),
@@ -427,6 +451,8 @@ BAD_INPUTS = {
 # the config files that BAD_INPUTS reads, as {tmp}/<name>.cfg
 BAD_CONFIGS = {
     "coarse": "solver.nx = 3",
+    "huge-grid": "solver.nx = 100000000",
+    "experiment": "experiment = mix",
     "q_target": "control.q_target = 0.95",
     "damping-nan": "domain.damping = nan",
     "viscosity-inf": "domain.viscosity = inf",
@@ -459,7 +485,7 @@ def test_non_finite_field_file_is_a_config_error(spec, tmp_path):
     u[3] = np.nan
     save_field(u, path)
     with pytest.raises(ConfigError, match="non-finite"):
-        run(parse_config("out_dir = " + str(tmp_path / "o")), {"u0": str(path)})
+        run(parse_config("out_dir = " + str(tmp_path / "o")), "simulate", {"u0": str(path)})
 
 
 @pytest.mark.parametrize("line", ["control.delta = -1", "control.delta = inf",
@@ -467,9 +493,9 @@ def test_non_finite_field_file_is_a_config_error(spec, tmp_path):
                                   "control.gamma = 0", "control.epsilon_target = 0",
                                   "noise.seed = -1"])
 def test_out_of_range_config_is_rejected_before_any_output(tmp_path, line):
-    ec = parse_config(f"{line}\nexperiment = spectrum\nout_dir = {tmp_path / 'o'}\n")
+    ec = parse_config(f"{line}\nout_dir = {tmp_path / 'o'}\n")
     with pytest.raises(ConfigError):
-        run(ec)
+        run(ec, "spectrum")
     assert not (tmp_path / "o").exists()
 
 

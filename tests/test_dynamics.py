@@ -116,6 +116,31 @@ class TestFlow:
         with pytest.raises(DivergedTrajectoryError) as err:
             flow(u0, None, spec, cfg)
         assert err.value.exit_code == 3
+        assert err.value.step_index == 0
+
+    def test_non_finite_start_raises(self, spec, fast_cfg):
+        u0 = np.zeros(spec.n_modes)
+        u0[4] = np.nan
+        with pytest.raises(FloatingPointError) as err:
+            flow(u0, None, spec, fast_cfg)
+        assert err.value.step_index == 0
+
+    def test_non_finite_kick_raises_at_substep_one(self, spec, fast_cfg, noise):
+        """Substep 0 makes a NaN state from a finite one; substep 1 finds it."""
+        eta = sample_kick(noise, spec, kick_rng(0, 0, 0))
+        eta.coeffs[1, 7] = np.nan
+        with pytest.raises(FloatingPointError) as err:
+            flow(np.zeros(spec.n_modes), eta, spec, fast_cfg)
+        assert err.value.step_index == 1
+
+    def test_calls_do_not_share_arrays(self, spec, fast_cfg, noise):
+        eta = sample_kick(noise, spec, kick_rng(0, 0, 0))
+        first = flow(np.zeros(spec.n_modes), eta, spec, fast_cfg)
+        kept = first.states.copy()
+        second = flow(first.endpoint, eta, spec, fast_cfg)
+        for name in ("states", "norm_h_sq", "bracket_sq", "forcing_inner"):
+            assert not np.shares_memory(getattr(first, name), getattr(second, name)), name
+        assert np.array_equal(first.states, kept)
 
 
 class TestEnergyIdentity:

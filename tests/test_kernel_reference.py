@@ -1,78 +1,32 @@
-"""The advection kernels against the velocity-form reference and each other.
+"""The advection kernels and ``flow`` against the velocity-form reference.
 
-The reference synthesises the six velocity fields u1, u2, u1x, u1y, u2x,
-u2y of every eigenfield, forms (u . grad) u component by component and
-projects it back with the quadrature-weighted velocity analysis.  It is
-built here from the mode table alone, so it shares no matrix with
-``GridOperators``.  The dense kernel ``_advection`` (used by ``flow``) is
-in turn the reference for the separable kernel of ``advance_columns``.
+The reference (``reference.py``) synthesises the six velocity fields of
+every eigenfield on the full grid, walls included, from the mode table
+alone, so it shares no matrix with ``GridOperators``, whose tables hold
+the interior nodes only.  The dense kernel ``_advection`` (used by
+``flow`` and ``nonlinearity``) is in turn the reference for the separable
+kernel of ``advance_columns``.
 """
-
-import math
 
 import numpy as np
 import pytest
 
 from kickflow import DomainSpec, NoiseSpec, SolverConfig
-from kickflow.basis import grid_operators, min_grid, mode_table
+from kickflow.basis import eigenvalues, grid_operators, min_grid, poincare_constant
 from kickflow.dynamics import (
     _advection,
+    _advection_work,
     _factors,
     _separable_advection,
     _separable_work,
     advance_columns,
+    flow,
     nonlinearity,
 )
-from kickflow.linearization import bilinear_q
-from kickflow.noise import amplitudes, kick_rng, legendre_values, sample_xi
+from kickflow.noise import amplitudes, eval_kick, kick_rng, legendre_values, sample_kick, sample_xi
+from reference import bilinear_q, reference_b, reference_q, velocity_form_operators
 
 BOUND = 1e-12  # relative to the output's max-abs
-
-
-def _velocity_form_operators(spec: DomainSpec, nx: int, nyq: int):
-    """(6, npts, K) velocity and gradient synthesis and the (K, 2*npts) analysis."""
-    L = spec.length
-    x = L * np.arange(nx) / nx
-    y = np.arange(nyq + 1) / nyq
-    wy = np.full(nyq + 1, 1.0 / nyq)
-    wy[[0, -1]] *= 0.5
-    w = np.outer(np.full(nx, L / nx), wy).ravel()
-    modes = mode_table(spec)
-    syn = np.empty((6, nx * (nyq + 1), len(modes)))
-    for j, mo in enumerate(modes):
-        kx = 2.0 * math.pi * abs(mo.m) / L
-        ky = math.pi * mo.n
-        scale = 1.0 / math.sqrt((kx * kx + ky * ky) * (L if mo.m == 0 else L / 2.0) * 0.5)
-        if mo.m >= 0:
-            ex, dex = np.cos(kx * x), -kx * np.sin(kx * x)
-        else:
-            ex, dex = np.sin(kx * x), kx * np.cos(kx * x)
-        sy, cy = np.sin(ky * y), np.cos(ky * y)
-        # u = (d_y psi, -d_x psi) with psi = scale * ex * sy
-        syn[0, :, j] = scale * np.outer(ex, ky * cy).ravel()
-        syn[1, :, j] = -scale * np.outer(dex, sy).ravel()
-        syn[2, :, j] = scale * np.outer(dex, ky * cy).ravel()
-        syn[3, :, j] = -scale * np.outer(ex, ky * ky * sy).ravel()
-        syn[4, :, j] = scale * kx * kx * np.outer(ex, sy).ravel()
-        syn[5, :, j] = -scale * np.outer(dex, ky * cy).ravel()
-    ana = np.concatenate([syn[0] * w[:, None], syn[1] * w[:, None]]).T
-    return syn, ana
-
-
-def reference_q(a, b, syn, ana):
-    """Q(a, b) = P(a . grad b) + P(b . grad a) in velocity form; b may be (K, n)."""
-    a1, a2, a1x, a1y, a2x, a2y = (f.reshape(f.shape + (1,) * (b.ndim - 1)) for f in syn @ a)
-    b1, b2, b1x, b1y, b2x, b2y = np.tensordot(syn, b, axes=1)
-    c1 = a1 * b1x + a2 * b1y + b1 * a1x + b2 * a1y
-    c2 = a1 * b2x + a2 * b2y + b1 * a2x + b2 * a2y
-    return ana @ np.concatenate([c1, c2])
-
-
-def reference_b(u, syn, ana):
-    """B(u) = P(u . grad u) in velocity form; u may be (K, n)."""
-    f1, f2, f1x, f1y, f2x, f2y = np.tensordot(syn, u, axes=1)
-    return ana @ np.concatenate([f1 * f1x + f2 * f1y, f1 * f2x + f2 * f2y])
-
 
 GRIDS = {
     "5x5-min": (5, 5, 1),
@@ -83,10 +37,11 @@ GRIDS = {
 
 @pytest.fixture(scope="module", params=sorted(GRIDS))
 def grid(request):
+    """(spec, the library's tables on the grid, the full-grid velocity-form reference)."""
     mx, ny, factor = GRIDS[request.param]
     spec = DomainSpec(length=4.0, viscosity=0.1, mx=mx, ny=ny)
     nx, nyq = (factor * n for n in min_grid(spec))
-    return spec, SolverConfig(nx=nx, nyq=nyq), _velocity_form_operators(spec, nx, nyq)
+    return spec, grid_operators(spec, nx, nyq), velocity_form_operators(spec, nx, nyq)
 
 
 def _state(spec, n_cols, seed):
@@ -100,19 +55,27 @@ def _rel_err(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
+def dense_b(u, spec, ops):
+    """The dense kernel on the grid of ``ops``."""
+    return _advection(u, ops, _advection_work(ops, eigenvalues(spec), u.shape))
+
+
 @pytest.mark.parametrize("n_cols", [1, 165, 512])
 def test_nonlinearity_matches_velocity_form(grid, n_cols):
-    spec, cfg, (syn, ana) = grid
+    """Public ``nonlinearity`` on the minimal grid, the kernel itself on a larger one."""
+    spec, ops, (syn, ana) = grid
     u = _state(spec, n_cols, seed=n_cols)
-    assert _rel_err(nonlinearity(u, spec, cfg), reference_b(u, syn, ana)) <= BOUND
+    got = nonlinearity(u, spec) if ops is grid_operators(spec) else dense_b(u, spec, ops)
+    assert _rel_err(got, reference_b(u, syn, ana)) <= BOUND
 
 
 @pytest.mark.parametrize("n_cols", [1, 165, 512])
 def test_bilinear_q_matches_velocity_form(grid, n_cols):
-    spec, cfg, (syn, ana) = grid
+    """The vorticity form of Q, which the tangent map is built from, on the tables."""
+    spec, ops, (syn, ana) = grid
     a = _state(spec, 1, seed=7)
     b = _state(spec, n_cols, seed=n_cols + 1)
-    assert _rel_err(bilinear_q(a, b, spec, cfg), reference_q(a, b, syn, ana)) <= BOUND
+    assert _rel_err(bilinear_q(a, b, spec, ops), reference_q(a, b, syn, ana)) <= BOUND
 
 
 def separable_b(u, ops):
@@ -124,17 +87,16 @@ def separable_b(u, ops):
 
 @pytest.mark.parametrize("n_cols", [1, 165, 512])
 def test_separable_advection_matches_dense_and_velocity_form(grid, n_cols):
-    spec, cfg, (syn, ana) = grid
-    ops = grid_operators(spec, cfg.nx, cfg.nyq)
+    spec, ops, (syn, ana) = grid
     u = _state(spec, n_cols, seed=n_cols)
     got = separable_b(u, ops)
-    assert _rel_err(got, _advection(u, ops)) <= BOUND
+    assert _rel_err(got, dense_b(u, spec, ops)) <= BOUND
     assert _rel_err(got, reference_b(u, syn, ana)) <= BOUND
 
 
 def dense_advance_columns(states, kick_coeffs, spec, cfg):
     """The column stepper on the dense transforms, in eigenvalue order."""
-    ops = grid_operators(spec, cfg.nx, cfg.nyq)
+    ops = grid_operators(spec)
     decay, gain = _factors(spec, cfg.dt)
     u = np.array(states, dtype=float)
     if kick_coeffs is not None:
@@ -142,7 +104,7 @@ def dense_advance_columns(states, kick_coeffs, spec, cfg):
         coeffs = np.transpose(kick_coeffs, (1, 2, 0))
     for i in range(cfg.n_substeps):
         f = np.tensordot(tau[i], coeffs, axes=1) if kick_coeffs is not None else 0.0
-        u = decay[:, None] * u + gain[:, None] * (f - _advection(u, ops))
+        u = decay[:, None] * u + gain[:, None] * (f - dense_b(u, spec, ops))
     return u
 
 
@@ -167,3 +129,34 @@ def test_advance_columns_matches_dense_stepper(spec, kicked):
     got = advance_columns(states, coeffs, spec, cfg)
     assert _rel_err(got, dense_advance_columns(states, coeffs, spec, cfg)) <= BOUND
 
+
+def velocity_form_flow(u0, eta, spec, cfg, syn, ana):
+    """One kick of decay * u + gain * (f_mid - B(u)) with the velocity-form B:
+    the states and the energy log that ``flow`` records."""
+    lam = spec.viscosity * eigenvalues(spec) + spec.damping
+    decay = np.exp(-lam * cfg.dt)
+    gain = (1.0 - decay) / lam
+    n = cfg.n_substeps
+    f_mid = eval_kick(eta, (np.arange(n) + 0.5) * cfg.dt)
+    f_node = eval_kick(eta, np.arange(n + 1) * cfg.dt)
+    states = [np.asarray(u0, dtype=float)]
+    for i in range(n):
+        u = states[-1]
+        states.append(decay * u + gain * (f_mid[i] - reference_b(u, syn, ana)))
+    states = np.array(states)
+    weights = eigenvalues(spec) - 0.5 * poincare_constant(spec)
+    return {"states": states, "norm_h_sq": (states ** 2).sum(axis=1),
+            "bracket_sq": (states ** 2 * weights).sum(axis=1),
+            "forcing_inner": (f_node * states).sum(axis=1)}
+
+
+def test_flow_matches_velocity_form_stepper(grid):
+    """One kick from a state of norm 2, where advection is a sizeable part of each step."""
+    spec, _, (syn, ana) = grid
+    cfg = SolverConfig()
+    u0 = _state(spec, 1, seed=spec.n_modes)
+    u0 *= 2.0 / np.linalg.norm(u0)
+    eta = sample_kick(NoiseSpec(), spec, kick_rng(3, 0, 0))
+    traj = flow(u0, eta, spec, cfg)
+    for name, want in velocity_form_flow(u0, eta, spec, cfg, syn, ana).items():
+        assert _rel_err(getattr(traj, name), want) <= BOUND, name

@@ -7,12 +7,12 @@ from kickflow.basis import eigenvalues, poincare_constant
 from kickflow.dynamics import _factors, flow, time_one_map
 from kickflow.linearization import (
     _propagate,
-    bilinear_q,
     compactness_diagnostic,
     gram_limit_check,
     linearize_kick,
 )
 from kickflow.noise import KickPath, kick_rng, legendre_values, sample_kick
+from reference import bilinear_q
 
 
 @pytest.fixture
@@ -35,7 +35,7 @@ def _reference_operators(base, spec, cfg, noise):
     """(psi1, psi2, A) with every column of [I_K | 0] propagated alone.
 
     Each substep is the exponential-Euler tangent step written out with the
-    public bilinear form; a noise direction tau_p e_k enters as the forcing.
+    test-side bilinear form; a noise direction tau_p e_k enters as the forcing.
     """
     decay, gain = _factors(spec, cfg.dt)
     K, P = spec.n_modes, noise.p_order
@@ -51,7 +51,7 @@ def _reference_operators(base, spec, cfg, noise):
             p, k = divmod(j - K, K)
             src[:, k] = tau[:, p]
         for i in range(n):
-            w = decay * w + gain * (src[i] - bilinear_q(base.states[i], w, spec, cfg))
+            w = decay * w + gain * (src[i] - bilinear_q(base.states[i], w, spec))
         cols.append(w)
     jac = np.stack(cols, axis=1)
     psi1 = decay ** n

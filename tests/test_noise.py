@@ -13,7 +13,6 @@ from kickflow.noise import (
     legendre_values,
     load_kick,
     pm_order,
-    project_pm,
     rho,
     rho_cdf,
     sample_kick,
@@ -21,6 +20,17 @@ from kickflow.noise import (
     save_kick,
     support_bound,
 )
+
+
+def project_pm(eta, m_rank, noise, spec):
+    """The kick with only its first m_rank coordinates in decreasing-amplitude order kept."""
+    flat = eta.coeffs.ravel()
+    if not 0 <= m_rank <= flat.size:
+        raise ValueError(f"projection rank {m_rank} out of range [0, {flat.size}]")
+    keep = pm_order(noise, spec)[:m_rank]
+    out = np.zeros_like(flat)
+    out[keep] = flat[keep]
+    return KickPath(out.reshape(eta.coeffs.shape))
 
 
 class TestDensity:

@@ -15,8 +15,9 @@ from kickflow.basis import load_field, norms, save_field
 from kickflow.dynamics import flow, nonlinearity
 from kickflow.ergodicity import EmpiricalEnsemble
 from kickflow.experiments import checkpoint_load, checkpoint_save
-from kickflow.linearization import _propagate, bilinear_q
+from kickflow.linearization import _propagate
 from kickflow.noise import kick_rng, load_kick, sample_kick, save_kick
+from reference import bilinear_q
 
 SPEC = DomainSpec(length=4.0, viscosity=0.1)
 K = SPEC.n_modes

@@ -2,8 +2,8 @@
 
 The reference is the propagator as it was before the tangent map became
 one matrix per substep: every substep synthesises the grid fields of the
-whole (K, m) column stack with ``syn4`` and applies Q(a_i, .) to it through
-``_q_on_grid``.  Both must give the same operators up to rounding.
+whole (K, m) column stack and applies Q(a_i, .) to it through the
+test-side ``q_on_grid``.  Both must give the same operators up to rounding.
 """
 
 import numpy as np
@@ -12,15 +12,16 @@ import pytest
 from kickflow import DomainSpec, NoiseSpec, SolverConfig
 from kickflow.basis import eigenvalues, grid_operators
 from kickflow.dynamics import _factors, flow
-from kickflow.linearization import _grid_fields, _q_on_grid, linearize_kick
+from kickflow.linearization import linearize_kick
 from kickflow.noise import kick_rng, legendre_values, sample_kick
+from reference import grid_fields, q_on_grid
 
 BOUND = 1e-12  # relative to each output's max-abs
 
 
 def reference_propagate(base, w0, source, spec, cfg):
     """Column-stack tangent propagation: Q(a_i, .) applied to all m columns."""
-    ops = grid_operators(spec, cfg.nx, cfg.nyq)
+    ops = grid_operators(spec)
     decay, gain = _factors(spec, cfg.dt)
     K = spec.n_modes
     n_src = source.shape[1] * K
@@ -28,8 +29,8 @@ def reference_propagate(base, w0, source, spec, cfg):
     cols = w0.shape[1] - n_src + np.arange(n_src).reshape(-1, K)
     w = np.array(w0, dtype=float)
     for i in range(base.states.shape[0] - 1):
-        af = _grid_fields(base.states[i], ops)
-        w = decay[:, None] * w - gain[:, None] * _q_on_grid(af, w, ops)
+        af = grid_fields(base.states[i], ops)
+        w = decay[:, None] * w - gain[:, None] * q_on_grid(af, w, ops)
         w[rows, cols] += gain * source[i][:, None]
     return w
 
