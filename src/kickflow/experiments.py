@@ -70,7 +70,8 @@ CORR_DRAWS = 100_000
 @dataclass
 class RunManifest:
     """Outputs, seconds per stage (``wall_clock_s`` is the whole run) and
-    work counts, such as the ``substeps`` stepped in stage ``integrate``."""
+    work counts, such as the ``substeps`` stepped in stage ``integrate`` and
+    the ``tangent_substeps`` of the linearised solves."""
 
     config: dict
     experiment: str
@@ -296,6 +297,7 @@ def _run_linearize(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
     with em.timed("linearize"):
         ops = linearize_kick(base, spec, cfg, ec.noise)
         sig = compactness_diagnostic(ops)
+    em.count("tangent_substeps", cfg.n_substeps)
     with em.timed("io"):
         em.write_csv("psi1_diagonal.csv", "index,psi1", list(enumerate(ops.psi1)))
         em.write_csv("psi2_singular_values.csv", "index,sigma", list(enumerate(sig)))
@@ -345,11 +347,13 @@ def _run_couple(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
                 em.count("substeps", cfg.n_substeps)
                 with em.timed("linearize"):
                     ops = linearize_kick(base, spec, cfg, ec.noise)
+                em.count("tangent_substeps", cfg.n_substeps)
                 with em.timed("tune"):
                     ctl = tune(ops, ec.control_epsilon_target, ec.noise, spec, delta)
                 log.info("tuned control: M=%d gamma=%g", ctl.rank, ctl.gamma)
         with em.timed("couple"):
             report = couple(u0, u0p, seed, n_steps, spec, cfg, ctl, ec.noise, traj_id=pair)
+        em.count("tangent_substeps", len(report.steps) * cfg.n_substeps)  # one linearize_kick per step
         if len(report.steps) < n_steps:
             log.info("pair %d coupled to distance < 1e-14 after %d of %d steps",
                      pair, len(report.steps), n_steps)

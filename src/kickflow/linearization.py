@@ -3,9 +3,12 @@
 The linearised stepper is the exact tangent of the nonlinear
 exponential-Euler stepper with coefficients frozen along a recorded base
 trajectory.  Q(a, .) is linear, so on each substep it is one K x K matrix
-J_i built from the base state a_i; the Jacobian and the forcing derivative
-are propagated together as one column stack through those matrices, which
-keeps finite-difference cross-checks tight.
+J_i = J(a_i); the Jacobian and the forcing derivative are propagated
+together as one column stack through those matrices, which keeps
+finite-difference cross-checks tight.  Q is bilinear, so J(a) is linear
+in a as well: the K x K x K interaction tensor of J on the basis vectors
+is built once per call, and one GEMM contracts it with a block of base
+states into their matrices.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import single_threaded_blas
-from .basis import DomainSpec, eigenvalues, grid_operators
+from .basis import DomainSpec, GridOperators, eigenvalues, grid_operators
 from .dynamics import SolverConfig, Trajectory, _factors
 from .noise import NoiseSpec, legendre_values
 
@@ -25,6 +28,11 @@ __all__ = [
     "gram_limit_check",
     "compactness_diagnostic",
 ]
+
+# base states turned into tangent matrices by one GEMM, and values of m per
+# chunk of the tensor build
+_BLOCK = 16
+_M_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -45,49 +53,77 @@ class TangentOperators:
     gram_eigvecs: np.ndarray
 
 
+def _tangent_tensor(ops: GridOperators, alpha: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """The (K, K, K) tensor T with T[m] = -diag(gain) J(e_m), on the grid of ``ops``.
+
+    In vorticity form (see ``GridOperators``) Q(a, b) = ana1 @ (a1*b_wx +
+    a2*b_wy + b1*a_wx + b2*a_wy), and omega_k = alpha_k psi_k gives
+    grad omega_k = alpha_k (-u2_k, u1_k).  For a = e_m and b = e_j the
+    integrand is therefore (alpha_m - alpha_j)(u1_m u2_j - u2_m u1_j), and
+    J(e_m) = ana1 @ (u1_m u2 - u2_m u1) with column j scaled by
+    alpha_m - alpha_j, where u1 and u2 are the halves of ``syn2``.  The
+    grid products are formed for _M_CHUNK values of m at a time: two
+    (npts, _M_CHUNK, K) arrays, about 1 MB at the defaults, where all m at
+    once would take 13 MB.
+    """
+    K, npts = alpha.shape[0], ops.n_points
+    u1, u2 = ops.syn2.reshape(2, npts, K)
+    tensor = np.empty((K, K, K))
+    for m0 in range(0, K, _M_CHUNK):
+        ms = slice(m0, m0 + _M_CHUNK)
+        cross = u1[:, ms, None] * u2[:, None, :]
+        cross -= u2[:, ms, None] * u1[:, None, :]
+        jm = (ops.ana1 @ cross.reshape(npts, -1)).reshape(K, -1, K)  # [k, m, j]
+        jm *= alpha[ms, None] - alpha
+        np.multiply(jm.transpose(1, 0, 2), -gain[:, None], out=tensor[ms])
+    return tensor
+
+
 def _propagate(base: Trajectory, w0: np.ndarray, source: np.ndarray,
                spec: DomainSpec, cfg: SolverConfig) -> np.ndarray:
     """Advance the (K, m) stack w0 through the flow linearised along ``base``.
 
-    Substep i steps w <- decay*w - gain*(J_i @ w), where J_i is the
-    symmetrised advection Q(a_i, .) = P(a_i . grad .) + P(. . grad a_i)
-    written as a K x K matrix.  In vorticity form (see ``GridOperators``)
-    Q(a, b) = ana1 @ (a1*b_wx + a2*b_wy + a_wx*b1 + a_wy*b2), which is
-    linear in b, so J_i = ana1 @ (a1*S_wx + a2*S_wy + a_wx*S_u1 +
-    a_wy*S_u2), with each of a_i's grid fields scaling the rows of a
-    synthesis block: S_u1 and S_u2 are the halves of ``syn2``, and
-    S_wx = -S_u2 alpha, S_wy = S_u1 alpha.  Those four blocks are formed
-    once per call, and a_i's grid fields once per substep by one product
-    of ``syn2`` with [a_i, alpha a_i]; the grid work per substep is one
-    K x npts x K product, however many columns w has.
+    Substep i steps w <- M_i @ w with M_i = diag(decay) - gain*J_i, where
+    J_i is the symmetrised advection Q(a_i, .) = P(a_i . grad .) +
+    P(. . grad a_i) written as a K x K matrix.  Q is bilinear, so J is
+    linear in the base state: J(a_i) = sum_m a_i[m] J(e_m).  The tensor
+    T[m] = -diag(gain) J(e_m) (``_tangent_tensor``) is built once per call,
+    and one GEMM of _BLOCK base states with T, seen as K x K^2, forms
+    _BLOCK of the matrices -gain*J_i at once, into a buffer allocated once
+    per call; ``decay`` is then added to their diagonals.  What is left per
+    substep is one K x K by K x m product, whatever m is.
 
     ``source`` holds tau_p(t) at the substep midpoints, shape (n_substeps, P).
     The last P*K columns are driven by the noise basis elements tau_p e_k in
     p-major order, so they carry D_eta S; the columns before them see no
     source and carry D_u S applied to their start values.
     """
-    ops = grid_operators(spec)
     decay, gain = _factors(spec, cfg.dt)
     K = spec.n_modes
-    n_src = source.shape[1] * K
-    rows = np.arange(K)
-    cols = w0.shape[1] - n_src + np.arange(n_src).reshape(-1, K)  # (P, K)
+    n = base.states.shape[0] - 1
     if not np.isfinite(base.states[:-1]).all():
         raise FloatingPointError("non-finite coefficients in the base trajectory")
-    alpha = eigenvalues(spec)
-    s1, s2 = ops.syn2.reshape(2, ops.n_points, K)
-    # syn2 @ [a, alpha * a] gives, per node, (a1, a_wy, a2, -a_wx): the
-    # fields that scale S_wx, S_u2, S_wy and -S_u1, stacked (npts, 4, K)
-    syn = np.stack([-s2 * alpha, s2, s1 * alpha, -s1], axis=1)
-    ab = np.empty((K, 2))
-    w = np.array(w0, dtype=float)
-    for i in range(base.states.shape[0] - 1):
-        ab[:, 0] = base.states[i]
-        np.multiply(alpha, base.states[i], out=ab[:, 1])
-        af = (ops.syn2 @ ab).reshape(2, ops.n_points, 2).transpose(1, 0, 2).reshape(-1, 1, 4)
-        jac = ops.ana1 @ (af @ syn)[:, 0]
-        w = decay[:, None] * w - gain[:, None] * (jac @ w)
-        w[rows, cols] += gain * source[i][:, None]
+    tensor = _tangent_tensor(grid_operators(spec), eigenvalues(spec), gain).reshape(K, K * K)
+    block = np.empty((_BLOCK, K * K))
+    mats = block.reshape(_BLOCK, K, K)
+    w = np.array(w0, dtype=float, order="C")
+    w_next = np.empty_like(w)
+    # the entries (k, c0 + p*K + k) that tau_p e_k drives, as a (P, K) view
+    # of each buffer: a step in p moves K columns, a step in k one row and
+    # one column
+    P = source.shape[1]
+    c0 = w.shape[1] - P * K
+    strides = (K * w.itemsize, (w.shape[1] + 1) * w.itemsize)
+    driven, driven_next = (np.lib.stride_tricks.as_strided(buf.reshape(-1)[c0:], (P, K), strides)
+                           for buf in (w, w_next))
+    for b0 in range(0, n, _BLOCK):
+        nb = min(_BLOCK, n - b0)
+        np.matmul(base.states[b0:b0 + nb], tensor, out=block[:nb])
+        block[:nb, ::K + 1] += decay
+        for i in range(b0, b0 + nb):
+            np.matmul(mats[i - b0], w, out=w_next)
+            driven_next += gain * source[i][:, None]
+            w, w_next, driven, driven_next = w_next, w, driven_next, driven
     return w
 
 

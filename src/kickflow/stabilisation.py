@@ -75,6 +75,19 @@ class CouplingReport:
         return max(ratios) if ratios else 0.0
 
 
+def _unmasked_right_inverse(ops: TangentOperators, gamma: float) -> np.ndarray:
+    """A^T (G + gamma I)^{-1}: R_{M,gamma} before the rank truncation."""
+    v = ops.gram_eigvecs
+    return ops.a_matrix.T @ (v @ (v.T / (ops.gram_eigvals + gamma)[:, None]))
+
+
+def _truncate(r: np.ndarray, order: np.ndarray, rank: int) -> np.ndarray:
+    """A copy of r with the rows outside the leading ``rank`` of ``order`` zeroed."""
+    mask = np.zeros(r.shape[0], dtype=bool)
+    mask[order[:rank]] = True
+    return np.where(mask[:, None], r, 0.0)
+
+
 def right_inverse_matrix(ops: TangentOperators, ctl: ControlConfig,
                          noise: NoiseSpec, spec: DomainSpec) -> np.ndarray:
     """Dense (P*K, K) matrix of R_{M,gamma} = P_M A^T (G + gamma I)^{-1}.
@@ -82,13 +95,7 @@ def right_inverse_matrix(ops: TangentOperators, ctl: ControlConfig,
     Its rows are the noise coordinates in p-major flat order; those outside
     the leading M of ``pm_order`` are zero.
     """
-    v = ops.gram_eigvecs
-    ginv = v @ (v.T / (ops.gram_eigvals + ctl.gamma)[:, None])
-    r = ops.a_matrix.T @ ginv
-    mask = np.zeros(r.shape[0], dtype=bool)
-    mask[pm_order(noise, spec)[:ctl.rank]] = True
-    r[~mask] = 0.0
-    return r
+    return _truncate(_unmasked_right_inverse(ops, ctl.gamma), pm_order(noise, spec), ctl.rank)
 
 
 def phi(u: np.ndarray, u_prime: np.ndarray, ops: TangentOperators,
@@ -115,14 +122,16 @@ def tune(ops: TangentOperators, epsilon_target: float, noise: NoiseSpec,
     returning the first pair with control defect <= epsilon_target.
     """
     K = spec.n_modes
+    order = pm_order(noise, spec)
+    # one Gram inverse per gamma serves every rank
+    unmasked = [_unmasked_right_inverse(ops, gamma) for gamma in GAMMA_GRID]
     best = np.inf
     for rank in range(K, noise.p_order * K + 1, K):
-        for gamma in GAMMA_GRID:
-            ctl = ControlConfig(rank, gamma, delta)
-            eps = epsilon_check(ops, right_inverse_matrix(ops, ctl, noise, spec))
+        for gamma, r in zip(GAMMA_GRID, unmasked):
+            eps = epsilon_check(ops, _truncate(r, order, rank))
             best = min(best, eps)
             if eps <= epsilon_target:
-                return ctl
+                return ControlConfig(rank, gamma, delta)
     raise TuningFailedError(best, epsilon_target)
 
 

@@ -8,8 +8,10 @@ component by component on it and project back with the
 quadrature-weighted velocity analysis.
 
 ``bilinear_q`` is the symmetrised advection in vorticity form on the
-library's own tables, applied to a whole column stack: the form that the
-tangent propagator turns into one K x K matrix per substep.
+library's own tables, applied to a whole column stack.  ``tangent_matrix``
+forms Q(a, .) as one K x K matrix on the grid, from the four grid fields of
+a, the way the tangent propagator formed it for every substep before it
+contracted one interaction tensor with the base state.
 """
 
 import math
@@ -91,3 +93,19 @@ def bilinear_q(a, b, spec, ops=None):
     ops = ops or grid_operators(spec)
     return q_on_grid(grid_fields(a, ops), b, ops)
 
+
+
+def tangent_matrix(a, ops):
+    """J(a) = Q(a, .) as a K x K matrix, formed from a's grid fields on ``ops``.
+
+    syn2 @ [a, alpha a] gives, per node, (a1, a_wy, a2, -a_wx): the fields
+    that scale the synthesis blocks S_wx = -S_u2 alpha, S_u2, S_wy = S_u1 alpha
+    and -S_u1 of the columns b, stacked (npts, 4, K).
+    """
+    a = np.asarray(a, dtype=float)
+    alpha = ops.alpha.reshape(-1)[ops.slot]
+    s1, s2 = ops.syn2.reshape(2, ops.n_points, a.shape[0])
+    syn = np.stack([-s2 * alpha, s2, s1 * alpha, -s1], axis=1)
+    af = ops.syn2 @ np.stack([a, alpha * a], axis=1)
+    af = af.reshape(2, ops.n_points, 2).transpose(1, 0, 2).reshape(-1, 1, 4)
+    return ops.ana1 @ (af @ syn)[:, 0]

@@ -234,18 +234,25 @@ class TestManifest:
     ])
     def test_stage_timings_and_substeps(self, tmp_path, monkeypatch, experiment, opts,
                                         stages, kicks):
-        """The stages fit inside the run, and the data files are the same bytes
-        when the timers do nothing."""
+        """The stages fit inside the run, the substep counts are the work done,
+        and the data files are the same bytes when the timers and counters do
+        nothing."""
         ec = parse_config(FAST_LINES)
         manifest = run(ec, experiment, {**opts, "out": tmp_path / "timed"})
         assert set(manifest.stages) == stages
         assert all(t > 0 for t in manifest.stages.values())
         assert sum(manifest.stages.values()) <= manifest.wall_clock_s
-        assert manifest.counts == {"substeps": kicks * ec.solver.n_substeps}
+        # one linearised solve, and for couple one per coupling step after the tuning's
+        tangent_kicks = {"simulate": 0, "linearize": 1, "couple": 2}[experiment]
+        want = {"substeps": kicks * ec.solver.n_substeps}
+        if tangent_kicks:
+            want["tangent_substeps"] = tangent_kicks * ec.solver.n_substeps
+        assert manifest.counts == want
         monkeypatch.setattr(experiments._Emitter, "timed",
                             lambda self, stage: contextlib.nullcontext())
+        monkeypatch.setattr(experiments._Emitter, "count", lambda self, name, n: None)
         untimed = run(ec, experiment, {**opts, "out": tmp_path / "untimed"})
-        assert untimed.stages == {}
+        assert untimed.stages == {} and untimed.counts == {}
         assert [r["sha256"] for r in untimed.outputs] == [r["sha256"] for r in manifest.outputs]
 
 

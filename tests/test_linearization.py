@@ -1,10 +1,12 @@
 """Tangent map, semigroup splitting, forcing derivative, and Gramian."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kickflow.basis import eigenvalues, poincare_constant
-from kickflow.dynamics import _factors, flow, time_one_map
+from kickflow.dynamics import Trajectory, _factors, flow, time_one_map
 from kickflow.linearization import (
     _propagate,
     compactness_diagnostic,
@@ -106,6 +108,57 @@ class TestTangentMap:
         assert np.abs(ops.psi1 - psi1).max() <= 1e-12
         assert np.abs(ops.psi2 - psi2).max() <= 1e-12
         assert np.abs(ops.a_matrix - a_matrix).max() <= 1e-12
+
+
+class TestPropagateContract:
+    """Errors, input layout and output ownership of the tangent solve."""
+
+    def _source(self, base, cfg):
+        n = base.states.shape[0] - 1
+        return legendre_values(2, (np.arange(n) + 0.5) * cfg.dt)
+
+    @pytest.mark.parametrize("row", [0, 57, -2])
+    def test_non_finite_base_state_raises(self, base, spec, fast_cfg, row):
+        states = base.states.copy()
+        states[row, 3] = np.nan
+        broken = Trajectory(base.times, states, None, None, None)
+        w0 = np.hstack([np.eye(spec.n_modes), np.zeros((spec.n_modes, 2 * spec.n_modes))])
+        with pytest.raises(FloatingPointError):
+            _propagate(broken, w0, self._source(base, fast_cfg), spec, fast_cfg)
+
+    def test_fortran_ordered_start(self, base, spec, fast_cfg, rng):
+        w0 = rng.standard_normal((spec.n_modes, 3 * spec.n_modes))
+        source = self._source(base, fast_cfg)
+        got_f = _propagate(base, np.asfortranarray(w0), source, spec, fast_cfg)
+        got_c = _propagate(base, w0, source, spec, fast_cfg)
+        assert np.array_equal(got_f, got_c)
+
+    def test_calls_do_not_share_arrays(self, base, spec, fast_cfg, noise):
+        w0 = np.hstack([np.eye(spec.n_modes), np.zeros((spec.n_modes, 2 * spec.n_modes))])
+        source = self._source(base, fast_cfg)
+        first = _propagate(base, w0, source, spec, fast_cfg)
+        second = _propagate(base, w0, source, spec, fast_cfg)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, w0)
+        one = linearize_kick(base, spec, fast_cfg, noise)
+        two = linearize_kick(base, spec, fast_cfg, noise)
+        for name in ("psi1", "psi2", "a_matrix", "gram"):
+            assert not np.shares_memory(getattr(one, name), getattr(two, name)), name
+
+    def test_traced_peak_at_defaults(self, spec, cfg, noise):
+        """One linearize_kick at K = 55, dt = 1e-3 allocates at most 4 MB at
+        its peak: the 1.3 MB interaction tensor, one block of substep
+        matrices and two column stacks, not a table per substep."""
+        u0 = 0.3 * np.random.default_rng(5).standard_normal(spec.n_modes) / np.sqrt(spec.n_modes)
+        base = flow(u0, sample_kick(noise, spec, kick_rng(5, 0, 0)), spec, cfg)
+        linearize_kick(base, spec, cfg, noise)  # grid tables are cached after the first call
+        tracemalloc.start()
+        try:
+            linearize_kick(base, spec, cfg, noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
 
 
 class TestPsiSplit:

@@ -133,6 +133,20 @@ class TestTune:
         assert err.value.exit_code == 4
         assert err.value.best_epsilon > 0
 
+    def test_matches_scan_of_right_inverses(self, ops, noise, spec):
+        """One Gram inverse per gamma picks what a fresh R per (M, gamma) picks."""
+        grid = [(rank, gamma) for rank in range(spec.n_modes, noise.p_order * spec.n_modes + 1,
+                                                spec.n_modes) for gamma in GAMMA_GRID]
+        eps = [epsilon_check(ops, right_inverse_matrix(ops, ControlConfig(*rg), noise, spec))
+               for rg in grid]
+        for target in sorted(eps)[::5]:
+            first = next(rg for rg, e in zip(grid, eps) if e <= target)
+            ctl = tune(ops, target, noise, spec)
+            assert (ctl.rank, ctl.gamma) == first
+        with pytest.raises(TuningFailedError) as err:
+            tune(ops, 0.0, noise, spec)
+        assert err.value.best_epsilon == min(eps)
+
 
 class TestCoupling:
     def test_contracts_close_pair(self, spec, fast_cfg, noise):
