@@ -9,6 +9,7 @@ measure-level ergodicity diagnostics for particle ensembles.
 
 __version__ = "1.0.0"
 
+from . import _blas  # noqa: F401  (puts numpy's OpenBLAS on one thread)
 from .basis import (
     DomainSpec,
     ModeIndex,

@@ -1,24 +1,18 @@
 """Thread count of the OpenBLAS that numpy is linked against.
 
-Loops of many mid-sized products run their BLAS on one thread.  A
-multithreaded OpenBLAS call splits each product between threads that
-wait for one another, and its idle threads spin between calls, so such a
-loop slows several-fold as soon as any other process wants a core.
-Where numpy uses another BLAS, or OpenBLAS cannot be found, the thread
-limit does nothing.
-
-The count is one process-global value, and ``single_threaded_blas`` saves,
-sets and restores it without a lock.  So only one thread may hold the
-limit at a time: ``advance_columns`` enters it once, on the calling
-thread, around both halves of a split stack, and its worker thread never
-enters it.
+Importing kickflow puts the process's OpenBLAS on one thread, once.
+kickflow's loops run many small and mid-sized products: a multithreaded
+OpenBLAS call splits each one between threads that wait for one another,
+and its idle threads spin between calls, so such a loop slows several-fold
+as soon as any other process wants a core.  The one thread also leaves
+the second core to the worker of ``advance_columns``.  Where numpy uses
+another BLAS, or OpenBLAS cannot be found, nothing is set.
 """
 
 from __future__ import annotations
 
 import ctypes
 import importlib
-from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -78,21 +72,6 @@ def blas_info() -> dict:
     return {"name": dep.get("name"), "version": dep.get("version"), "config": config}
 
 
-@contextmanager
-def single_threaded_blas():
-    """Run the block with OpenBLAS on one thread, then restore its count.
-
-    Nested uses restore correctly: an inner block saves and restores 1.
-    Not for two threads at once (see the module docstring).
-    """
-    fns = _openblas()
-    if fns is None:
-        yield
-        return
-    get, set_, _ = fns
-    saved = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(saved)
+# set_num_threads(1), once, at import (see the module docstring)
+if _openblas() is not None:
+    _openblas()[1](1)

@@ -21,7 +21,6 @@ from threading import Thread
 
 import numpy as np
 
-from ._blas import single_threaded_blas
 from .basis import DomainSpec, eigenvalues, grid_operators, poincare_constant
 from .errors import DivergedTrajectoryError
 from .noise import KickPath, eval_kick, legendre_values
@@ -348,8 +347,8 @@ def advance_columns(states: np.ndarray, kick_coeffs: np.ndarray | None,
     halves, one on a worker thread, when two CPUs are usable: numpy drops
     the GIL inside its products and ufuncs.  Both parts stay wide, so the
     result is bit-identical to one stack, and an error is the one the
-    whole stack would raise.  This call holds the one-thread BLAS limit
-    for both parts (see ``_blas``); the worker never touches it.
+    whole stack would raise.  Each part runs its BLAS on one thread, as
+    everything in kickflow does (``_blas``).
     """
     states = np.asarray(states, dtype=float)
     n = states.shape[1]
@@ -364,17 +363,16 @@ def advance_columns(states: np.ndarray, kick_coeffs: np.ndarray | None,
         except Exception as exc:  # re-raised below, on the calling thread
             results[j] = exc
 
-    with single_threaded_blas():
-        # in the caller's context, which holds numpy's errstate
-        workers = [Thread(target=copy_context().run, args=(step, j))
-                   for j in range(1, len(parts))]
+    # in the caller's context, which holds numpy's errstate
+    workers = [Thread(target=copy_context().run, args=(step, j))
+               for j in range(1, len(parts))]
+    for worker in workers:
+        worker.start()
+    try:
+        step(0)
+    finally:
         for worker in workers:
-            worker.start()
-        try:
-            step(0)
-        finally:
-            for worker in workers:
-                worker.join()
+            worker.join()
     errors = [r for r in results if isinstance(r, Exception)]
     if errors:
         raise _first_raised(errors)

@@ -86,8 +86,7 @@ def ensemble_step(ens: EmpiricalEnsemble, spec: DomainSpec, cfg: SolverConfig,
                   noise: NoiseSpec) -> EmpiricalEnsemble:
     """Push the ensemble forward by one kick (one application of P*_1).
 
-    All columns advance in one ``advance_columns`` call, which sets the
-    BLAS thread limit itself.
+    All columns advance in one ``advance_columns`` call.
     """
     if ens.n_particles == 0:
         return EmpiricalEnsemble(ens.particles, ens.weights, ens.kick_index + 1,

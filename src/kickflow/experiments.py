@@ -88,7 +88,7 @@ def _provenance() -> dict:
 
     Outputs are byte-identical only on one platform: the interpreter,
     numpy, its BLAS and the CPU kernels it picked, the BLAS thread count
-    outside the one-thread blocks, and the threads ``advance_columns``
+    (1 once kickflow is imported) and the threads ``advance_columns``
     steps a wide stack on.
     """
     return {
@@ -330,6 +330,12 @@ def _run_couple(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
     seed = ec.sampling_seed
     rows = []
     ctl = None
+    if ec.control_rank is not None and ec.control_gamma is not None:
+        ctl = ControlConfig(ec.control_rank, ec.control_gamma, delta)
+
+    def tuned(ops):  # on the first step of the first pair that takes one
+        return tune(ops, ec.control_epsilon_target, ec.noise, spec, delta)
+
     reports = []
     for pair in range(n_pairs):
         u0 = _absorbed_start(ec, 1000 + pair, em)
@@ -337,23 +343,13 @@ def _run_couple(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
             np.random.SeedSequence(entropy=seed, spawn_key=(0xCA, pair))))
         w = rng.standard_normal(spec.n_modes)
         u0p = u0 + 0.9 * delta * w / np.linalg.norm(w)
-        if ctl is None:
-            if ec.control_rank is not None and ec.control_gamma is not None:
-                ctl = ControlConfig(ec.control_rank, ec.control_gamma, delta)
-            else:
-                with em.timed("integrate"):
-                    base = flow(u0, sample_kick(ec.noise, spec, kick_rng(seed, pair, 0)),
-                                spec, cfg)
-                em.count("substeps", cfg.n_substeps)
-                with em.timed("linearize"):
-                    ops = linearize_kick(base, spec, cfg, ec.noise)
-                em.count("tangent_substeps", cfg.n_substeps)
-                with em.timed("tune"):
-                    ctl = tune(ops, ec.control_epsilon_target, ec.noise, spec, delta)
-                log.info("tuned control: M=%d gamma=%g", ctl.rank, ctl.gamma)
         with em.timed("couple"):
-            report = couple(u0, u0p, seed, n_steps, spec, cfg, ctl, ec.noise, traj_id=pair)
+            report = couple(u0, u0p, seed, n_steps, spec, cfg, tuned if ctl is None else ctl,
+                            ec.noise, traj_id=pair)
         em.count("tangent_substeps", len(report.steps) * cfg.n_substeps)  # one linearize_kick per step
+        if ctl is None and report.control is not None:
+            ctl = report.control
+            log.info("tuned control: M=%d gamma=%g", ctl.rank, ctl.gamma)
         if len(report.steps) < n_steps:
             log.info("pair %d coupled to distance < 1e-14 after %d of %d steps",
                      pair, len(report.steps), n_steps)
@@ -366,8 +362,9 @@ def _run_couple(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
             "q_geo_mean": max(r.q_geo_mean for r in reports),
             "q_max": max(r.q_max for r in reports),
             "C_hat": max(r.c_hat for r in reports),
-            "M": ctl.rank,
-            "gamma": ctl.gamma,
+            # None when no pair took a step and so no control was tuned
+            "M": None if ctl is None else ctl.rank,
+            "gamma": None if ctl is None else ctl.gamma,
             "delta": delta,
             "pairs": n_pairs,
             "steps": max(len(r.steps) for r in reports),
@@ -596,7 +593,7 @@ def _read_hashed(path, magic: str) -> list[str]:
     """Lines of a file written by ``_hashed_text``, after checking its hash."""
     try:
         lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     if not lines or not lines[0].startswith(magic):
         raise ConfigError(f"{path}: version mismatch or not a {magic.split()[0]} file")
@@ -622,26 +619,29 @@ def checkpoint_save(ens_a: EmpiricalEnsemble, ens_b: EmpiricalEnsemble, path) ->
 def checkpoint_load(path, expect_k: int | None = None):
     """Load a checkpoint pair; verifies version and content hash."""
     lines = _read_hashed(path, CKPT_MAGIC)
-    k_dim = int(lines[0].split("K=")[1])
-    if expect_k is not None and k_dim != expect_k:
-        raise ConfigError(f"checkpoint {path}: K={k_dim} does not match domain K={expect_k}")
-    ensembles = []
-    i = 1
-    while i < len(lines) - 1:
-        head = lines[i]
-        parts = dict(p.split("=") for p in head.split(",")[1:])
-        n = int(parts["particles"])
-        ids = np.empty(n, dtype=int)
-        weights = np.empty(n)
-        particles = np.empty((n, k_dim))
-        for j in range(n):
-            cells = lines[i + 1 + j].split(",")
-            ids[j] = int(cells[0])
-            weights[j] = float(cells[1])
-            particles[j] = [float(c) for c in cells[2:]]
-        ensembles.append(EmpiricalEnsemble(particles, weights, int(parts["kick_index"]),
-                                           int(parts["seed"]), ids))
-        i += 1 + n
+    try:
+        k_dim = int(lines[0].split("K=")[1])
+        if expect_k is not None and k_dim != expect_k:
+            raise ConfigError(f"checkpoint {path}: K={k_dim} does not match domain K={expect_k}")
+        ensembles = []
+        i = 1
+        while i < len(lines) - 1:
+            head = lines[i]
+            parts = dict(p.split("=") for p in head.split(",")[1:])
+            n = int(parts["particles"])
+            ids = np.empty(n, dtype=int)
+            weights = np.empty(n)
+            particles = np.empty((n, k_dim))
+            for j in range(n):
+                cells = lines[i + 1 + j].split(",")
+                ids[j] = int(cells[0])
+                weights[j] = float(cells[1])
+                particles[j] = [float(c) for c in cells[2:]]
+            ensembles.append(EmpiricalEnsemble(particles, weights, int(parts["kick_index"]),
+                                               int(parts["seed"]), ids))
+            i += 1 + n
+    except (ValueError, LookupError) as exc:
+        raise ConfigError(f"checkpoint {path}: malformed content: {exc!r}") from exc
     if len(ensembles) != 2:
         raise ConfigError(f"checkpoint {path}: expected 2 ensembles, found {len(ensembles)}")
     return ensembles[0], ensembles[1]
@@ -666,8 +666,8 @@ def _rows_load(ckpt, kick_index: int) -> list[tuple]:
     """
     lines = _read_hashed(_rows_path(ckpt), ROWS_MAGIC)
     try:
-        rows = [(int(k), *map(float, rest))
-                for k, *rest in (ln.split(",") for ln in lines[1:-1])]
+        rows = [(int(k), float(dist), float(floor), float(tail), float(mean))
+                for k, dist, floor, tail, mean in (ln.split(",") for ln in lines[1:-1])]
     except ValueError as exc:
         raise ConfigError(f"{_rows_path(ckpt)}: malformed row: {exc}") from exc
     if (len(rows) not in (kick_index, kick_index + 1)

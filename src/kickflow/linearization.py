@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import single_threaded_blas
 from .basis import DomainSpec, GridOperators, eigenvalues, grid_operators
 from .dynamics import SolverConfig, Trajectory, _factors
 from .noise import NoiseSpec, legendre_values
@@ -133,8 +132,6 @@ def linearize_kick(base: Trajectory, spec: DomainSpec, cfg: SolverConfig,
 
     One linearised solve advances [I_K | 0]: its first K columns are the
     Jacobian D_u S, split as diag(psi1) + psi2, and the other P*K are A.
-    BLAS runs on one thread: the per-substep products are K x K sized, and
-    threads that split them wait for one another (``_blas``).
     """
     if base.states.shape[0] < 2:
         raise ValueError("base trajectory lacks substep states")
@@ -142,11 +139,10 @@ def linearize_kick(base: Trajectory, spec: DomainSpec, cfg: SolverConfig,
     n = base.states.shape[0] - 1
     t_mid = (np.arange(n) + 0.5) * cfg.dt
     w0 = np.hstack([np.eye(K), np.zeros((K, noise.p_order * K))])
-    with single_threaded_blas():
-        w = _propagate(base, w0, legendre_values(noise.p_order, t_mid % 1.0), spec, cfg)
-        a_matrix = w[:, K:]
-        gram = a_matrix @ a_matrix.T
-        eigvals, eigvecs = np.linalg.eigh(gram)
+    w = _propagate(base, w0, legendre_values(noise.p_order, t_mid % 1.0), spec, cfg)
+    a_matrix = w[:, K:]
+    gram = a_matrix @ a_matrix.T
+    eigvals, eigvecs = np.linalg.eigh(gram)
     lam = spec.viscosity * eigenvalues(spec) + spec.damping
     psi1 = np.exp(-lam * (n * cfg.dt))
     return TangentOperators(psi1, w[:, :K] - np.diag(psi1), a_matrix, gram, eigvals, eigvecs)

@@ -8,6 +8,7 @@ truncated to the leading M noise coordinates.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,13 +51,18 @@ class ControlConfig:
 
 @dataclass
 class CouplingReport:
-    """Per-step coupling record plus summary statistics."""
+    """Per-step coupling record plus summary statistics.
+
+    ``control`` is the control config the steps used; None if it was to be
+    chosen at the first step and no step was taken.
+    """
 
     steps: list = field(default_factory=list)
     distances: list = field(default_factory=list)
     qhats: list = field(default_factory=list)
     phi_norms: list = field(default_factory=list)
     eps_hats: list = field(default_factory=list)
+    control: ControlConfig | None = None
 
     @property
     def q_max(self) -> float:
@@ -136,17 +142,20 @@ def tune(ops: TangentOperators, epsilon_target: float, noise: NoiseSpec,
 
 
 def couple(u0: np.ndarray, u0_prime: np.ndarray, kick_seed: int, n_steps: int,
-           spec: DomainSpec, cfg: SolverConfig, ctl: ControlConfig,
+           spec: DomainSpec, cfg: SolverConfig,
+           ctl: ControlConfig | Callable[[TangentOperators], ControlConfig],
            noise: NoiseSpec, traj_id: int = 0) -> CouplingReport:
     """Run the stabilised two-trajectory coupling for n_steps kicks.
 
     The leader advances with sampled kicks; the follower receives the
-    corrected kick eta + phi.  Raises SqueezingViolatedError (with the
-    partial report attached) if the pair distance ever exceeds delta.
+    corrected kick eta + phi.  ``ctl`` is the control config, or a function
+    that picks it from the first step's tangent operators (a ``tune``, say);
+    ``report.control`` is the one used.  Raises SqueezingViolatedError (with
+    the partial report attached) if the pair distance ever exceeds delta.
     """
     u = np.array(u0, dtype=float)
     up = np.array(u0_prime, dtype=float)
-    report = CouplingReport()
+    report = CouplingReport(control=ctl if isinstance(ctl, ControlConfig) else None)
     for k in range(n_steps):
         dist = float(np.linalg.norm(u - up))
         if dist < 1e-14:
@@ -154,7 +163,9 @@ def couple(u0: np.ndarray, u0_prime: np.ndarray, kick_seed: int, n_steps: int,
         eta = sample_kick(noise, spec, kick_rng(kick_seed, traj_id, k))
         base = flow(u, eta, spec, cfg)
         ops = linearize_kick(base, spec, cfg, noise)
-        r = right_inverse_matrix(ops, ctl, noise, spec)
+        if report.control is None:
+            report.control = ctl(ops)
+        r = right_inverse_matrix(ops, report.control, noise, spec)
         control = phi(u, up, ops, r)
         eps_hat = epsilon_check(ops, r)
         u_next = base.endpoint
@@ -166,7 +177,7 @@ def couple(u0: np.ndarray, u0_prime: np.ndarray, kick_seed: int, n_steps: int,
         report.qhats.append(qhat)
         report.phi_norms.append(control.norm_e)
         report.eps_hats.append(eps_hat)
-        if dist_next > ctl.delta:
+        if dist_next > report.control.delta:
             raise SqueezingViolatedError(k, qhat, report)
         u, up = u_next, up_next
     return report

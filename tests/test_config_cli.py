@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import logging
+import os
 import platform
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kickflow import DomainSpec, NoiseSpec, cli, errors, experiments
+from kickflow import DomainSpec, NoiseSpec, cli, errors, experiments, stabilisation
 from kickflow._blas import blas_threads
 from kickflow.basis import save_field
 from kickflow.config import _KEYS, config_snapshot, load_config, parse_config
@@ -228,9 +229,9 @@ class TestManifest:
     @pytest.mark.parametrize("experiment, opts, stages, kicks", [
         ("simulate", {"kicks": 2}, {"integrate", "energy", "io"}, 2),
         ("linearize", {}, {"integrate", "linearize", "io"}, 1),
-        # the absorbed start, then the base kick of the tuning
-        ("couple", {"steps": 1}, {"integrate", "linearize", "tune", "couple", "io"},
-         k_star(9.0, DomainSpec(4.0, 0.1), NoiseSpec()) + 2),
+        # the absorbed start; the tuning is timed inside couple, on its first step
+        ("couple", {"steps": 1}, {"integrate", "couple", "io"},
+         k_star(9.0, DomainSpec(4.0, 0.1), NoiseSpec()) + 1),
     ])
     def test_stage_timings_and_substeps(self, tmp_path, monkeypatch, experiment, opts,
                                         stages, kicks):
@@ -242,8 +243,8 @@ class TestManifest:
         assert set(manifest.stages) == stages
         assert all(t > 0 for t in manifest.stages.values())
         assert sum(manifest.stages.values()) <= manifest.wall_clock_s
-        # one linearised solve, and for couple one per coupling step after the tuning's
-        tangent_kicks = {"simulate": 0, "linearize": 1, "couple": 2}[experiment]
+        # one linearised solve, and for couple one per coupling step
+        tangent_kicks = {"simulate": 0, "linearize": 1, "couple": 1}[experiment]
         want = {"substeps": kicks * ec.solver.n_substeps}
         if tangent_kicks:
             want["tangent_substeps"] = tangent_kicks * ec.solver.n_substeps
@@ -262,6 +263,17 @@ def test_cli_import_leaves_scipy_out():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False False"
+
+
+def test_import_puts_openblas_on_one_thread():
+    """Importing kickflow sets one BLAS thread, whatever the environment asks for."""
+    code = "import kickflow._blas as b; print(b.blas_threads())"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "2"})
+    assert res.returncode == 0, res.stderr
+    if res.stdout.strip() == "None":
+        pytest.skip("numpy's BLAS is not an OpenBLAS whose threads can be set")
+    assert res.stdout.strip() == "1"
 
 
 def test_unclassified_failure_is_one_json_line_with_exit_1(tmp_path, monkeypatch, capsys):
@@ -288,6 +300,44 @@ class TestCoupleSummary:
         assert summary["steps_requested"] == 40
         assert summary["steps"] == len(rows) < 40
         assert "after %d of 40 steps" % len(rows) in caplog.text
+
+    def test_no_step_tunes_no_control(self, tmp_path):
+        """A delta under 1e-14 starts the pair coupled: it takes no step, no
+        control is tuned, and the summary's M and gamma are null."""
+        ec = parse_config(FAST_LINES + "out_dir = " + str(tmp_path))
+        run(ec, "couple", {"steps": 2, "delta": 1e-15})
+        summary = json.loads((tmp_path / "coupling_summary.json").read_text())
+        assert summary["steps"] == 0
+        assert summary["M"] is None and summary["gamma"] is None
+        assert (tmp_path / "coupling_steps.csv").read_text().splitlines()[1:] == []
+
+    def test_tuned_control_is_the_first_steps(self, tmp_path, monkeypatch):
+        """Tuning runs once, on the operators of pair 0's first coupling step,
+        and the later pair reuses its control."""
+        calls = []
+        tune = experiments.tune
+
+        def spy(ops, *args):
+            calls.append(ops)
+            return tune(ops, *args)
+
+        linearized = []
+        linearize = stabilisation.linearize_kick
+
+        def spy_linearize(*args):
+            linearized.append(linearize(*args))
+            return linearized[-1]
+
+        monkeypatch.setattr(experiments, "tune", spy)
+        monkeypatch.setattr(stabilisation, "linearize_kick", spy_linearize)
+        ec = parse_config(FAST_LINES + "out_dir = " + str(tmp_path))
+        manifest = run(ec, "couple", {"steps": 2, "pairs": 2})
+        assert len(calls) == 1 and calls[0] is linearized[0]
+        assert len(linearized) == 4
+        assert manifest.counts["tangent_substeps"] == 4 * ec.solver.n_substeps
+        summary = json.loads((tmp_path / "coupling_summary.json").read_text())
+        ctl = tune(linearized[0], ec.control_epsilon_target, ec.noise, ec.domain)
+        assert (summary["M"], summary["gamma"]) == (ctl.rank, ctl.gamma)
 
 
 class _FailingWriter:
@@ -452,6 +502,10 @@ BAD_INPUTS = {
     "kicks-not-a-number": ("simulate", "--kicks", "abc"),
     "unknown-experiment": ("bogus",),
     "seed-after-the-experiment": ("simulate", "--seed", "7"),
+    "config-not-text": ("--config", "{tmp}/binary", "spectrum"),
+    "checkpoint-not-text": ("mix", "--particles", "4", "--kicks", "1", "--resume", "{tmp}/binary"),
+    "checkpoint-header-malformed": ("mix", "--kicks", "1", "--resume", "{tmp}/bad-header.ck"),
+    "checkpoint-rows-too-short": ("mix", "--kicks", "1", "--resume", "{tmp}/short-row.ck"),
 }
 
 
@@ -469,11 +523,26 @@ BAD_CONFIGS = {
 }
 
 
+def _write_bad_files(tmp: Path) -> None:
+    """The other files that BAD_INPUTS reads: bytes that are not text, and
+    checkpoints whose hashes hold but whose content does not parse."""
+    (tmp / "file").write_text("a regular file\n")
+    (tmp / "binary").write_bytes(bytes(range(256)))
+    spec = DomainSpec(4.0, 0.1)
+    (tmp / "bad-header.ck").write_text(experiments._hashed_text(
+        f"{experiments.CKPT_MAGIC},K={spec.n_modes}", ["ENSEMBLE,seed=0"]))
+    ens = make_compact(spec, 1.0, 2, seed=0)
+    ens.kick_index = 1
+    checkpoint_save(ens, ens, tmp / "short-row.ck")
+    (tmp / "short-row.ck.rows").write_text(
+        experiments._hashed_text(experiments.ROWS_MAGIC, ["0,0.5,0.1"]))
+
+
 @pytest.mark.parametrize("case", BAD_INPUTS)
 def test_bad_input_is_one_json_line_with_exit_2(tmp_path, case):
     for name, line in BAD_CONFIGS.items():
         (tmp_path / f"{name}.cfg").write_text(line + "\n")
-    (tmp_path / "file").write_text("a regular file\n")
+    _write_bad_files(tmp_path)
     out = tmp_path / "o"
     res = _cli("--out", str(out), *(arg.format(tmp=tmp_path) for arg in BAD_INPUTS[case]))
     assert res.returncode == 2

@@ -262,10 +262,9 @@ class TestSplitStack:
             advance_columns(states, None, spec, fast_cfg)
         assert len(started) == 1
 
-    def test_blas_limit_held_for_both_halves_and_restored_after_one_raises(
+    def test_both_halves_run_on_one_blas_thread_when_one_raises(
             self, spec, fast_cfg, rng, monkeypatch):
-        before = blas_threads()
-        if before is None:
+        if blas_threads() is None:
             pytest.skip("numpy's BLAS is not an OpenBLAS whose threads can be set")
         seen = []
         whole = dynamics._advance_stack
@@ -280,7 +279,6 @@ class TestSplitStack:
         with pytest.raises(FloatingPointError):
             advance_columns(states, None, spec, fast_cfg)
         assert seen == [1, 1]
-        assert blas_threads() == before
 
     @pytest.mark.parametrize("bump", [0.3, 1e260])  # 1e260 overflows: a NaN norm
     @pytest.mark.parametrize("larger", ["left", "right"])

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from kickflow._blas import blas_threads, single_threaded_blas
 from kickflow.basis import poincare_constant
 from kickflow.errors import InsufficientDataError
 from kickflow.ergodicity import (
@@ -59,18 +58,6 @@ class TestEnsembleStep:
             eta = sample_kick(noise, spec, kick_rng(ens.master_seed, int(pid), 0))
             single = time_one_map(ens.particles[i], eta, spec, fast_cfg)
             assert np.abs(stepped.particles[i] - single).max() < 1e-13
-
-    def test_blas_threads_restored(self, spec, fast_cfg, noise):
-        before = blas_threads()
-        if before is None:
-            pytest.skip("numpy's BLAS is not an OpenBLAS whose threads can be set")
-        with single_threaded_blas():
-            with single_threaded_blas():
-                assert blas_threads() == 1
-            assert blas_threads() == 1
-        assert blas_threads() == before
-        ensemble_step(make_compact(spec, 0.5, 8, seed=7), spec, fast_cfg, noise)
-        assert blas_threads() == before
 
     def test_kick_index_advances(self, spec, fast_cfg, noise):
         ens = make_compact(spec, 0.5, 2, seed=7)

@@ -182,6 +182,39 @@ class TestCoupling:
         report = couple(u0, u0.copy(), 19, 5, spec, fast_cfg, ctl, noise)
         assert report.steps == []
 
+    def test_control_chosen_from_the_first_step(self, spec, fast_cfg, noise):
+        """A chooser sees the first step's operators, once, and the pair couples
+        as under the control it returns."""
+        rng = np.random.default_rng(21)
+        u0 = np.zeros(spec.n_modes)
+        u0[:8] = rng.standard_normal(8)
+        u0 *= 0.1 / np.linalg.norm(u0)
+        u0p = u0 + 1e-3 * rng.standard_normal(spec.n_modes) / np.sqrt(spec.n_modes)
+        ctl = ControlConfig(rank=spec.n_modes, gamma=0.1, delta=1e-2)
+        seen = []
+
+        def choose(ops):
+            seen.append(ops)
+            return ctl
+
+        chosen = couple(u0, u0p, 17, 3, spec, fast_cfg, choose, noise)
+        fixed = couple(u0, u0p, 17, 3, spec, fast_cfg, ctl, noise)
+        first = linearize_kick(flow(u0, sample_kick(noise, spec, kick_rng(17, 0, 0)),
+                                    spec, fast_cfg), spec, fast_cfg, noise)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0].psi2, first.psi2)
+        assert np.array_equal(seen[0].a_matrix, first.a_matrix)
+        assert chosen.control == fixed.control == ctl
+        assert (chosen.qhats, chosen.eps_hats) == (fixed.qhats, fixed.eps_hats)
+
+    def test_no_step_uses_no_chosen_control(self, spec, fast_cfg, noise):
+        u0 = np.zeros(spec.n_modes)
+        ctl = ControlConfig(rank=spec.n_modes, gamma=0.1)
+        assert couple(u0, u0.copy(), 19, 5, spec, fast_cfg, ctl, noise).control == ctl
+        report = couple(u0, u0.copy(), 19, 5, spec, fast_cfg,
+                        lambda ops: pytest.fail("no step, so nothing to choose"), noise)
+        assert report.steps == [] and report.control is None
+
     def test_squeezing_violation_raises_with_report(self, spec, fast_cfg, noise):
         rng = np.random.default_rng(23)
         u0 = np.zeros(spec.n_modes)
