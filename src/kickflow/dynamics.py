@@ -56,13 +56,11 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """States and energy instrumentation of one flow over [0, T]."""
+    """The states of one flow over [0, T] at the substep nodes, and its kicks,
+    one per unit interval."""
 
     times: np.ndarray
     states: np.ndarray  # (n_times, K)
-    norm_h_sq: np.ndarray
-    bracket_sq: np.ndarray
-    forcing_inner: np.ndarray  # <eta(t_i), u(t_i)>
     forcing: list = field(default_factory=list)
 
     @property
@@ -79,6 +77,11 @@ def _factors(spec: DomainSpec, dt: float) -> tuple[np.ndarray, np.ndarray]:
     decay.setflags(write=False)
     gain.setflags(write=False)
     return decay, gain
+
+
+def _tau_mid(p_order: int, cfg: SolverConfig) -> np.ndarray:
+    """tau_p at the substep midpoints (i + 1/2) dt of a unit interval, (n_substeps, P)."""
+    return legendre_values(p_order, (np.arange(cfg.n_substeps) + 0.5) * cfg.dt)
 
 
 def _advection_work(ops, alpha: np.ndarray, shape: tuple) -> tuple[np.ndarray, ...]:
@@ -123,18 +126,6 @@ def nonlinearity(u: np.ndarray, spec: DomainSpec) -> np.ndarray:
     return _advection(u, ops, _advection_work(ops, eigenvalues(spec), u.shape))
 
 
-def _kick_forcing(kicks: list, t_loc: np.ndarray, n: int) -> np.ndarray:
-    """Kick values at local times t_loc of each unit interval, stacked in time.
-
-    Each kick contributes its first n rows; the last kick contributes all of
-    its rows.  On the node grid t_loc = (0, dt, ..., 1) an interval boundary
-    therefore takes the value of the kick that starts there, and the final
-    node that of the last kick at t = 1.
-    """
-    vals = [eval_kick(k, t_loc) for k in kicks]
-    return np.concatenate([v[:n] for v in vals[:-1]] + vals[-1:], axis=0)
-
-
 def _check_norm(u: np.ndarray, step: int, threshold: float) -> None:
     nrm = math.sqrt(float(u @ u))
     if not nrm <= threshold:  # NaN too
@@ -146,7 +137,9 @@ def flow(u0: np.ndarray, eta, spec: DomainSpec, cfg: SolverConfig,
     """Integrate over [0, n_units], one kick path per unit interval.
 
     Substep i writes decay * u + gain * (f_mid - B(u)) of u = states[i]
-    into states[i + 1], in work arrays allocated once per call.  A
+    into states[i + 1], in work arrays allocated once per call; f_mid is
+    the kick at the substep's midpoint.  Only the states are recorded:
+    ``energy_identity_residual`` forms the energy log from them.  A
     non-finite u raises ``FloatingPointError`` with ``step_index`` i; a
     norm above ``cfg.blowup_threshold``, checked on every 64th u and on
     the endpoint, raises ``DivergedTrajectoryError``.
@@ -160,17 +153,14 @@ def flow(u0: np.ndarray, eta, spec: DomainSpec, cfg: SolverConfig,
     if eta is not None and len(kicks) != n_units:
         raise ValueError(f"got {len(kicks)} kicks for a horizon of {n_units} units")
     if kicks:
-        f_mid = _kick_forcing(kicks, (np.arange(n) + 0.5) * cfg.dt, n)
-        f_node = _kick_forcing(kicks, np.arange(n + 1) * cfg.dt, n)
+        tau = _tau_mid(kicks[0].coeffs.shape[0], cfg)
+        f_mid = np.concatenate([tau @ k.coeffs for k in kicks])
     else:
         f_mid = np.zeros((total, u0.shape[0]))
-        f_node = np.zeros((total + 1, u0.shape[0]))
 
-    alpha = eigenvalues(spec)
-    lam1 = poincare_constant(spec)
     states = np.empty((total + 1, u0.shape[0]))
     states[0] = u0
-    work = _advection_work(ops, alpha, u0.shape)
+    work = _advection_work(ops, eigenvalues(spec), u0.shape)
     for i in range(total):
         u, nxt = states[i], states[i + 1]
         try:
@@ -187,12 +177,7 @@ def flow(u0: np.ndarray, eta, spec: DomainSpec, cfg: SolverConfig,
             _check_norm(u, i, cfg.blowup_threshold)
     _check_norm(states[total], total, cfg.blowup_threshold)
 
-    times = np.arange(total + 1) * cfg.dt
-    sq = states * states
-    norm_h_sq = sq.sum(axis=1)
-    bracket_sq = (sq * (alpha - 0.5 * lam1)[None, :]).sum(axis=1)
-    forcing_inner = (f_node * states).sum(axis=1)
-    return Trajectory(times, states, norm_h_sq, bracket_sq, forcing_inner, kicks)
+    return Trajectory(np.arange(total + 1) * cfg.dt, states, kicks)
 
 
 def time_one_map(u0: np.ndarray, eta, spec: DomainSpec, cfg: SolverConfig) -> np.ndarray:
@@ -205,19 +190,28 @@ def energy_identity_residual(traj: Trajectory, spec: DomainSpec) -> float:
 
     Compares ||u(t)||^2 against the Duhamel form with the integral of
     e^{nu*lam1*(t-s)} (<eta, u> - nu[u]^2 - a||u||^2) taken by the
-    trapezoid rule on the recorded energy log.
+    trapezoid rule on the energy log of the recorded states.  The kick at
+    a node is that of the unit interval starting there, and the last
+    node's that of the last kick at t = 1.
     """
-    if len(traj.norm_h_sq) != len(traj.times):
-        raise ValueError("trajectory lacks a complete energy log")
     nu = spec.viscosity
     lam1 = poincare_constant(spec)
-    t = traj.times
-    h = traj.forcing_inner - nu * traj.bracket_sq - spec.damping * traj.norm_h_sq
+    t, states = traj.times, traj.states
+    sq = states * states
+    norm_h_sq = sq.sum(axis=1)
+    bracket_sq = (sq * (eigenvalues(spec) - 0.5 * lam1)[None, :]).sum(axis=1)
+    forcing_inner = 0.0
+    if traj.forcing:
+        n = (len(t) - 1) // len(traj.forcing)
+        vals = [eval_kick(k, t[:n + 1]) for k in traj.forcing]
+        f_node = np.concatenate([v[:n] for v in vals[:-1]] + vals[-1:], axis=0)
+        forcing_inner = (f_node * states).sum(axis=1)
+    h = forcing_inner - nu * bracket_sq - spec.damping * norm_h_sq
     # cumulative trapezoid of e^{nu lam1 s} h(s)
     g = np.exp(nu * lam1 * t) * h
     integral = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(t))))
-    rhs = np.exp(-nu * lam1 * t) * (traj.norm_h_sq[0] + 2.0 * integral)
-    return float(np.abs(traj.norm_h_sq - rhs).max())
+    rhs = np.exp(-nu * lam1 * t) * (norm_h_sq[0] + 2.0 * integral)
+    return float(np.abs(norm_h_sq - rhs).max())
 
 
 def _separable_work(ops, n: int) -> tuple[np.ndarray, ...]:
@@ -267,8 +261,7 @@ def _advance_stack(states: np.ndarray, kick_coeffs: np.ndarray | None,
     """``advance_columns`` on one thread: the whole stack in slot order.
 
     A ``FloatingPointError`` (a non-finite input, or numpy's own under
-    ``np.errstate``) carries its substep as ``step_index``, so that the
-    errors of split parts can be ordered.
+    ``np.errstate``) carries its substep as ``step_index``, for diagnostics.
     """
     ops = grid_operators(spec)
     n_sub = cfg.n_substeps
@@ -278,7 +271,7 @@ def _advance_stack(states: np.ndarray, kick_coeffs: np.ndarray | None,
     f = np.zeros(u.shape)
     if kick_coeffs is not None:
         n_p = kick_coeffs.shape[1]
-        tau = legendre_values(n_p, (np.arange(n_sub) + 0.5) * cfg.dt)  # (n_sub, P)
+        tau = _tau_mid(n_p, cfg)
         # (P, K * n) in slot order: each substep's forcing is formed when it
         # is used, never all n_sub of them at once
         coeffs = np.transpose(kick_coeffs, (1, 2, 0))[:, to_slots].reshape(n_p, -1)
@@ -320,20 +313,6 @@ def _stepping_threads() -> int:
     return max(1, min(2, cpus or 1))
 
 
-def _first_raised(errors: list) -> Exception:
-    """Of the parts' errors, the one the whole stack would raise.
-
-    That is the earliest substep; within a substep a non-finite input,
-    which is found before the norm check; and between two norm checks
-    the larger norm, NaN counting as the largest.
-    """
-    def when(exc):
-        if isinstance(exc, DivergedTrajectoryError):
-            return (exc.step_index, 1, not math.isnan(exc.norm), -exc.norm)
-        return (getattr(exc, "step_index", -1), 0, False, 0.0)
-    return min(errors, key=when)
-
-
 def advance_columns(states: np.ndarray, kick_coeffs: np.ndarray | None,
                     spec: DomainSpec, cfg: SolverConfig) -> np.ndarray:
     """One kick interval for a (K, n) stack with per-column kick paths.
@@ -345,35 +324,33 @@ def advance_columns(states: np.ndarray, kick_coeffs: np.ndarray | None,
 
     A stack of at least ``2 * _MIN_PART`` columns is stepped as two column
     halves, one on a worker thread, when two CPUs are usable: numpy drops
-    the GIL inside its products and ufuncs.  Both parts stay wide, so the
-    result is bit-identical to one stack, and an error is the one the
-    whole stack would raise.  Each part runs its BLAS on one thread, as
+    the GIL inside its products and ufuncs.  Both halves stay wide, so the
+    result is bit-identical to one stack.  If either half raises, the whole
+    stack is stepped again on the calling thread, which raises exactly the
+    error that one stack raises.  Each half runs its BLAS on one thread, as
     everything in kickflow does (``_blas``).
     """
     states = np.asarray(states, dtype=float)
     n = states.shape[1]
-    cuts = [0, n // 2, n] if n >= 2 * _MIN_PART and _stepping_threads() > 1 else [0, n]
-    parts = [(states[:, lo:hi], None if kick_coeffs is None else kick_coeffs[lo:hi])
-             for lo, hi in zip(cuts, cuts[1:])]
-    results: list = [None] * len(parts)
+    if n < 2 * _MIN_PART or _stepping_threads() < 2:
+        return _advance_stack(states, kick_coeffs, spec, cfg)
+    halves = [(states[:, cols], None if kick_coeffs is None else kick_coeffs[cols])
+              for cols in (slice(None, n // 2), slice(n // 2, None))]
+    results: list = [None, None]
 
     def step(j):
         try:
-            results[j] = _advance_stack(*parts[j], spec, cfg)
-        except Exception as exc:  # re-raised below, on the calling thread
-            results[j] = exc
+            results[j] = _advance_stack(*halves[j], spec, cfg)
+        except Exception:  # raised again below by the whole stack
+            pass
 
     # in the caller's context, which holds numpy's errstate
-    workers = [Thread(target=copy_context().run, args=(step, j))
-               for j in range(1, len(parts))]
-    for worker in workers:
-        worker.start()
+    worker = Thread(target=copy_context().run, args=(step, 1))
+    worker.start()
     try:
         step(0)
     finally:
-        for worker in workers:
-            worker.join()
-    errors = [r for r in results if isinstance(r, Exception)]
-    if errors:
-        raise _first_raised(errors)
-    return results[0] if len(results) == 1 else np.concatenate(results, axis=1)
+        worker.join()
+    if results[0] is None or results[1] is None:
+        return _advance_stack(states, kick_coeffs, spec, cfg)
+    return np.concatenate(results, axis=1)

@@ -14,6 +14,7 @@ import math
 import os
 import platform
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -223,6 +224,8 @@ def _resolve_kick(ec: ExperimentConfig, text: str):
     if eta.coeffs.shape[1] != spec.n_modes:
         raise ConfigError(f"kick file has K={eta.coeffs.shape[1]}, "
                           f"domain needs K={spec.n_modes}")
+    if not np.all(np.isfinite(eta.coeffs)):
+        raise ConfigError(f"kick file {text} holds non-finite coefficients")
     return eta
 
 
@@ -379,9 +382,15 @@ def _load_compact(ec: ExperimentConfig, name: str, n_particles: int,
         return make_compact(spec, 1.0, n_particles, seed, id_offset=id_offset)
     if name == "r3":
         return make_compact(spec, 3.0, n_particles, seed, id_offset=id_offset)
-    pts = _read_input(lambda path: np.loadtxt(path, delimiter=",", ndmin=2), name)
+    with warnings.catch_warnings():  # an empty file is reported below, not warned of
+        warnings.simplefilter("ignore", UserWarning)
+        pts = _read_input(lambda path: np.loadtxt(path, delimiter=",", ndmin=2), name)
+    if pts.shape[0] == 0:
+        raise ConfigError(f"compact file {name} holds no points")
     if pts.shape[1] != spec.n_modes:
         raise ConfigError(f"compact file has K={pts.shape[1]}, domain needs {spec.n_modes}")
+    if not np.all(np.isfinite(pts)):
+        raise ConfigError(f"compact file {name} holds non-finite coefficients")
     n = pts.shape[0]
     return EmpiricalEnsemble(pts, np.full(n, 1.0 / n), 0, seed,
                              np.arange(id_offset, id_offset + n))

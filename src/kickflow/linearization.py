@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import DomainSpec, GridOperators, eigenvalues, grid_operators
-from .dynamics import SolverConfig, Trajectory, _factors
-from .noise import NoiseSpec, legendre_values
+from .dynamics import SolverConfig, Trajectory, _factors, _tau_mid
+from .noise import NoiseSpec
 
 __all__ = [
     "TangentOperators",
@@ -95,7 +95,11 @@ def _propagate(base: Trajectory, w0: np.ndarray, source: np.ndarray,
     ``source`` holds tau_p(t) at the substep midpoints, shape (n_substeps, P).
     The last P*K columns are driven by the noise basis elements tau_p e_k in
     p-major order, so they carry D_eta S; the columns before them see no
-    source and carry D_u S applied to their start values.
+    source and carry D_u S applied to their start values.  Their driven
+    entries (k, c0 + p*K + k) are the diagonals of the (K, P, K) blocks of
+    each buffer, which ``np.einsum`` returns as a writable (P, K) view.
+    ``w0`` is copied in C order: BLAS rounds an F-ordered product
+    differently.
     """
     decay, gain = _factors(spec, cfg.dt)
     K = spec.n_modes
@@ -107,13 +111,9 @@ def _propagate(base: Trajectory, w0: np.ndarray, source: np.ndarray,
     mats = block.reshape(_BLOCK, K, K)
     w = np.array(w0, dtype=float, order="C")
     w_next = np.empty_like(w)
-    # the entries (k, c0 + p*K + k) that tau_p e_k drives, as a (P, K) view
-    # of each buffer: a step in p moves K columns, a step in k one row and
-    # one column
     P = source.shape[1]
     c0 = w.shape[1] - P * K
-    strides = (K * w.itemsize, (w.shape[1] + 1) * w.itemsize)
-    driven, driven_next = (np.lib.stride_tricks.as_strided(buf.reshape(-1)[c0:], (P, K), strides)
+    driven, driven_next = (np.einsum("kpk->pk", buf[:, c0:].reshape(K, P, K))
                            for buf in (w, w_next))
     for b0 in range(0, n, _BLOCK):
         nb = min(_BLOCK, n - b0)
@@ -132,14 +132,16 @@ def linearize_kick(base: Trajectory, spec: DomainSpec, cfg: SolverConfig,
 
     One linearised solve advances [I_K | 0]: its first K columns are the
     Jacobian D_u S, split as diag(psi1) + psi2, and the other P*K are A.
+    The base is one kick long: a base of other than ``cfg.n_substeps``
+    substeps raises ``ValueError``.
     """
-    if base.states.shape[0] < 2:
-        raise ValueError("base trajectory lacks substep states")
+    n = cfg.n_substeps
+    if base.states.shape[0] != n + 1:
+        raise ValueError(f"base trajectory has {base.states.shape[0] - 1} substeps, "
+                         f"one kick has {n}")
     K = spec.n_modes
-    n = base.states.shape[0] - 1
-    t_mid = (np.arange(n) + 0.5) * cfg.dt
     w0 = np.hstack([np.eye(K), np.zeros((K, noise.p_order * K))])
-    w = _propagate(base, w0, legendre_values(noise.p_order, t_mid % 1.0), spec, cfg)
+    w = _propagate(base, w0, _tau_mid(noise.p_order, cfg), spec, cfg)
     a_matrix = w[:, K:]
     gram = a_matrix @ a_matrix.T
     eigvals, eigvecs = np.linalg.eigh(gram)

@@ -26,6 +26,7 @@ from kickflow.config import _KEYS, config_snapshot, load_config, parse_config
 from kickflow.errors import ConfigError
 from kickflow.ergodicity import k_star, make_compact
 from kickflow.experiments import checkpoint_load, checkpoint_save, run
+from kickflow.noise import KickPath, save_kick
 
 
 def _cli(*args, cwd=None):
@@ -506,6 +507,11 @@ BAD_INPUTS = {
     "checkpoint-not-text": ("mix", "--particles", "4", "--kicks", "1", "--resume", "{tmp}/binary"),
     "checkpoint-header-malformed": ("mix", "--kicks", "1", "--resume", "{tmp}/bad-header.ck"),
     "checkpoint-rows-too-short": ("mix", "--kicks", "1", "--resume", "{tmp}/short-row.ck"),
+    "kick-file-nan": ("linearize", "--kick", "{tmp}/nan.kick"),
+    "kick-file-inf": ("linearize", "--kick", "{tmp}/inf.kick"),
+    "compact-file-nan": ("mix", "--particles", "4", "--kicks", "1", "--compact", "{tmp}/nan.csv"),
+    "compact-file-empty": ("mix", "--particles", "4", "--kicks", "1",
+                           "--compact", "{tmp}/empty.csv"),
 }
 
 
@@ -524,8 +530,9 @@ BAD_CONFIGS = {
 
 
 def _write_bad_files(tmp: Path) -> None:
-    """The other files that BAD_INPUTS reads: bytes that are not text, and
-    checkpoints whose hashes hold but whose content does not parse."""
+    """The other files that BAD_INPUTS reads: bytes that are not text,
+    checkpoints whose hashes hold but whose content does not parse, and kick
+    and point files that are empty or hold non-finite values."""
     (tmp / "file").write_text("a regular file\n")
     (tmp / "binary").write_bytes(bytes(range(256)))
     spec = DomainSpec(4.0, 0.1)
@@ -536,6 +543,14 @@ def _write_bad_files(tmp: Path) -> None:
     checkpoint_save(ens, ens, tmp / "short-row.ck")
     (tmp / "short-row.ck.rows").write_text(
         experiments._hashed_text(experiments.ROWS_MAGIC, ["0,0.5,0.1"]))
+    for value in ("nan", "inf"):
+        coeffs = np.zeros((NoiseSpec().p_order, spec.n_modes))
+        coeffs[1, 3] = float(value)
+        save_kick(KickPath(coeffs), tmp / f"{value}.kick")
+    points = np.zeros((4, spec.n_modes))
+    points[2, 5] = np.nan
+    np.savetxt(tmp / "nan.csv", points, delimiter=",")
+    (tmp / "empty.csv").write_text("")
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)

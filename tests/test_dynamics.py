@@ -2,6 +2,7 @@
 
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,9 +139,24 @@ class TestFlow:
         first = flow(np.zeros(spec.n_modes), eta, spec, fast_cfg)
         kept = first.states.copy()
         second = flow(first.endpoint, eta, spec, fast_cfg)
-        for name in ("states", "norm_h_sq", "bracket_sq", "forcing_inner"):
+        for name in ("states", "times"):
             assert not np.shares_memory(getattr(first, name), getattr(second, name)), name
         assert np.array_equal(first.states, kept)
+
+    def test_traced_peak_at_defaults(self, spec, cfg, noise):
+        """One kick of ``flow`` at K = 55, dt = 1e-3 allocates at most 1.25 MiB
+        at its peak: the recorded states, the midpoint forcing and the work
+        arrays, with no energy log."""
+        u0 = 0.3 * np.random.default_rng(5).standard_normal(spec.n_modes) / np.sqrt(spec.n_modes)
+        eta = sample_kick(noise, spec, kick_rng(5, 0, 0))
+        flow(u0, eta, spec, cfg)  # grid tables are cached after the first call
+        tracemalloc.start()
+        try:
+            flow(u0, eta, spec, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2 ** 20
 
 
 class TestEnergyIdentity:
@@ -149,7 +165,7 @@ class TestEnergyIdentity:
         kicks = [sample_kick(noise, spec, kick_rng(5, 0, k)) for k in range(2)]
         traj = flow(np.zeros(spec.n_modes), kicks, spec, cfg, n_units=2)
         res = energy_identity_residual(traj, spec)
-        scale = max(traj.norm_h_sq.max(), 1e-30)
+        scale = max((traj.states ** 2).sum(axis=1).max(), 1e-30)
         assert res / scale < 5e-3
 
     def test_residual_shrinks_with_dt(self, spec, noise):
@@ -278,7 +294,7 @@ class TestSplitStack:
         states[:, 200] = np.nan
         with pytest.raises(FloatingPointError):
             advance_columns(states, None, spec, fast_cfg)
-        assert seen == [1, 1]
+        assert seen == [1, 1, 1]
 
     @pytest.mark.parametrize("bump", [0.3, 1e260])  # 1e260 overflows: a NaN norm
     @pytest.mark.parametrize("larger", ["left", "right"])
@@ -343,4 +359,16 @@ class TestSplitStack:
             with pytest.raises(FloatingPointError, match="overflow") as err:
                 advance_columns(states, None, spec, cfg)
         assert err.value.step_index == 1
+        assert len(started) == 1
+
+    def test_worker_keeps_the_callers_errstate_where_only_it_raises(self, spec, started):
+        """An underflow in the right half raises only under ``errstate(under="raise")``;
+        a worker without the caller's errstate would step it to a result."""
+        cfg = SolverConfig(dt=0.01)
+        states = np.full((spec.n_modes, 256), 1e-2)
+        states[:, 200] = 1e-200
+        with np.errstate(under="raise"):
+            with pytest.raises(FloatingPointError, match="underflow") as err:
+                advance_columns(states, None, spec, cfg)
+        assert err.value.step_index == 0
         assert len(started) == 1

@@ -95,12 +95,15 @@ class TestTangentMap:
         lin = (np.diag(ops.psi1) + ops.psi2) @ w
         assert np.linalg.norm(lin - fd) < 1e-7
 
-    def test_requires_recorded_substeps(self, spec, fast_cfg, noise):
-        from kickflow.dynamics import Trajectory
-
-        broken = Trajectory(np.zeros(1), np.zeros((1, spec.n_modes)), None, None, None)
+    def test_requires_recorded_substeps(self, base, spec, fast_cfg, noise):
+        """A base of no substeps, and a base of two kicks, are not one kick."""
+        broken = Trajectory(np.zeros(1), np.zeros((1, spec.n_modes)))
         with pytest.raises(ValueError):
             linearize_kick(broken, spec, fast_cfg, noise)
+        eta = base.forcing[0]
+        two_kicks = flow(base.states[0], [eta, eta], spec, fast_cfg, n_units=2)
+        with pytest.raises(ValueError):
+            linearize_kick(two_kicks, spec, fast_cfg, noise)
 
     def test_matches_column_by_column_reference(self, base, ops, spec, fast_cfg, noise):
         """The one batched solve against each column propagated on its own."""
@@ -121,7 +124,7 @@ class TestPropagateContract:
     def test_non_finite_base_state_raises(self, base, spec, fast_cfg, row):
         states = base.states.copy()
         states[row, 3] = np.nan
-        broken = Trajectory(base.times, states, None, None, None)
+        broken = Trajectory(base.times, states)
         w0 = np.hstack([np.eye(spec.n_modes), np.zeros((spec.n_modes, 2 * spec.n_modes))])
         with pytest.raises(FloatingPointError):
             _propagate(broken, w0, self._source(base, fast_cfg), spec, fast_cfg)

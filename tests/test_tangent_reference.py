@@ -99,7 +99,7 @@ def test_tensor_path_matches_grid_jacobian(case, monkeypatch):
         assert np.abs(got - want).max() <= BOUND * np.abs(want).max()
 
     states = rng.standard_normal((n + 1, K)) / np.sqrt(K)
-    base = Trajectory(np.arange(n + 1) * cfg.dt, states, None, None, None)
+    base = Trajectory(np.arange(n + 1) * cfg.dt, states)
     source = rng.standard_normal((n, P))
     w0 = np.hstack([rng.standard_normal((K, K)), np.zeros((K, P * K))])
     want = w0.copy()
