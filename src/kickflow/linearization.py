@@ -3,12 +3,11 @@
 The linearised stepper is the exact tangent of the nonlinear
 exponential-Euler stepper with coefficients frozen along a recorded base
 trajectory.  Q(a, .) is linear, so on each substep it is one K x K matrix
-J_i = J(a_i); the Jacobian and the forcing derivative are propagated
-together as one column stack through those matrices, which keeps
-finite-difference cross-checks tight.  Q is bilinear, so J(a) is linear
-in a as well: the K x K x K interaction tensor of J on the basis vectors
-is built once per call, and one GEMM contracts it with a block of base
-states into their matrices.
+J_i = J(a_i); one reverse sweep through those matrices gives the Jacobian
+and the forcing derivative, which keeps finite-difference cross-checks
+tight.  Q is bilinear, so J(a) is linear in a as well: the K x K x K
+interaction tensor of J on the basis vectors is built once per call, and
+one GEMM contracts it with a block of base states into their matrices.
 """
 
 from __future__ import annotations
@@ -40,14 +39,13 @@ class TangentOperators:
 
     psi1 holds the diagonal of the Stokes semigroup factor; psi2 the
     compact remainder; a_matrix the forcing derivative on the noise basis
-    (columns in p-major flat order); gram = a_matrix @ a_matrix.T with its
-    eigendecomposition.
+    (columns in p-major flat order); gram_eigvals and gram_eigvecs the
+    eigendecomposition of its Gramian a_matrix @ a_matrix.T.
     """
 
     psi1: np.ndarray
     psi2: np.ndarray
     a_matrix: np.ndarray
-    gram: np.ndarray
     gram_eigvals: np.ndarray
     gram_eigvecs: np.ndarray
 
@@ -78,28 +76,24 @@ def _tangent_tensor(ops: GridOperators, alpha: np.ndarray, gain: np.ndarray) -> 
     return tensor
 
 
-def _propagate(base: Trajectory, w0: np.ndarray, source: np.ndarray,
-               spec: DomainSpec, cfg: SolverConfig) -> np.ndarray:
-    """Advance the (K, m) stack w0 through the flow linearised along ``base``.
+def _sweep(base: Trajectory, source: np.ndarray, spec: DomainSpec,
+           cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(D_u S, A) of the flow linearised along ``base``, by one reverse sweep.
 
-    Substep i steps w <- M_i @ w with M_i = diag(decay) - gain*J_i, where
-    J_i is the symmetrised advection Q(a_i, .) = P(a_i . grad .) +
-    P(. . grad a_i) written as a K x K matrix.  Q is bilinear, so J is
-    linear in the base state: J(a_i) = sum_m a_i[m] J(e_m).  The tensor
-    T[m] = -diag(gain) J(e_m) (``_tangent_tensor``) is built once per call,
-    and one GEMM of _BLOCK base states with T, seen as K x K^2, forms
-    _BLOCK of the matrices -gain*J_i at once, into a buffer allocated once
-    per call; ``decay`` is then added to their diagonals.  What is left per
-    substep is one K x K by K x m product, whatever m is.
+    Substep i steps w <- M_i @ w + gain * (source[i] (x) e) with
+    M_i = diag(decay) - gain*J_i, where J_i is the symmetrised advection
+    Q(a_i, .) = P(a_i . grad .) + P(. . grad a_i) written as a K x K matrix.
+    Q is bilinear, so J is linear in the base state: J(a_i) = sum_m a_i[m]
+    J(e_m).  The tensor T[m] = -diag(gain) J(e_m) (``_tangent_tensor``) is
+    built once per call, and one GEMM of _BLOCK base states with T, seen as
+    K x K^2, forms _BLOCK of the matrices -gain*J_i at once; ``decay`` is
+    then added to their diagonals.
 
-    ``source`` holds tau_p(t) at the substep midpoints, shape (n_substeps, P).
-    The last P*K columns are driven by the noise basis elements tau_p e_k in
-    p-major order, so they carry D_eta S; the columns before them see no
-    source and carry D_u S applied to their start values.  Their driven
-    entries (k, c0 + p*K + k) are the diagonals of the (K, P, K) blocks of
-    each buffer, which ``np.einsum`` returns as a writable (P, K) view.
-    ``w0`` is copied in C order: BLAS rounds an F-ordered product
-    differently.
+    The blocks are walked backwards from Phi_n = I by Phi_i = Phi_{i+1} M_i,
+    so that D_u S = Phi_0.  ``source`` holds tau_p(t) at the substep
+    midpoints, shape (n_substeps, P), and column p*K + k of A is
+    gain_k sum_i tau_p(t_i) Phi_{i+1}[:, k]: each block keeps its Phi_{i+1}
+    and adds its share of that sum with one (P x nb) by (nb x K^2) GEMM.
     """
     decay, gain = _factors(spec, cfg.dt)
     K = spec.n_modes
@@ -109,29 +103,27 @@ def _propagate(base: Trajectory, w0: np.ndarray, source: np.ndarray,
     tensor = _tangent_tensor(grid_operators(spec), eigenvalues(spec), gain).reshape(K, K * K)
     block = np.empty((_BLOCK, K * K))
     mats = block.reshape(_BLOCK, K, K)
-    w = np.array(w0, dtype=float, order="C")
-    w_next = np.empty_like(w)
-    P = source.shape[1]
-    c0 = w.shape[1] - P * K
-    driven, driven_next = (np.einsum("kpk->pk", buf[:, c0:].reshape(K, P, K))
-                           for buf in (w, w_next))
-    for b0 in range(0, n, _BLOCK):
+    phis = np.empty((_BLOCK, K, K))
+    phi = np.eye(K)
+    acc = np.zeros((source.shape[1], K * K))
+    for b0 in reversed(range(0, n, _BLOCK)):
         nb = min(_BLOCK, n - b0)
         np.matmul(base.states[b0:b0 + nb], tensor, out=block[:nb])
         block[:nb, ::K + 1] += decay
-        for i in range(b0, b0 + nb):
-            np.matmul(mats[i - b0], w, out=w_next)
-            driven_next += gain * source[i][:, None]
-            w, w_next, driven, driven_next = w_next, w, driven_next, driven
-    return w
+        for j in reversed(range(nb)):
+            phis[j] = phi
+            np.matmul(phis[j], mats[j], out=phi)
+        acc += source[b0:b0 + nb].T @ phis[:nb].reshape(nb, K * K)
+    a_matrix = (acc.reshape(-1, K, K) * gain).transpose(1, 0, 2).reshape(K, -1)
+    return phi, a_matrix
 
 
 def linearize_kick(base: Trajectory, spec: DomainSpec, cfg: SolverConfig,
                    noise: NoiseSpec) -> TangentOperators:
-    """Assemble the full operator bundle (psi1, psi2, A, G) for one kick.
+    """Assemble the operator bundle (psi1, psi2, A and the Gram spectrum) for one kick.
 
-    One linearised solve advances [I_K | 0]: its first K columns are the
-    Jacobian D_u S, split as diag(psi1) + psi2, and the other P*K are A.
+    One reverse sweep gives the Jacobian D_u S, split as diag(psi1) + psi2,
+    and the forcing derivative A, whose Gramian A A^T is diagonalised.
     The base is one kick long: a base of other than ``cfg.n_substeps``
     substeps raises ``ValueError``.
     """
@@ -139,15 +131,11 @@ def linearize_kick(base: Trajectory, spec: DomainSpec, cfg: SolverConfig,
     if base.states.shape[0] != n + 1:
         raise ValueError(f"base trajectory has {base.states.shape[0] - 1} substeps, "
                          f"one kick has {n}")
-    K = spec.n_modes
-    w0 = np.hstack([np.eye(K), np.zeros((K, noise.p_order * K))])
-    w = _propagate(base, w0, _tau_mid(noise.p_order, cfg), spec, cfg)
-    a_matrix = w[:, K:]
-    gram = a_matrix @ a_matrix.T
-    eigvals, eigvecs = np.linalg.eigh(gram)
+    jac, a_matrix = _sweep(base, _tau_mid(noise.p_order, cfg), spec, cfg)
+    eigvals, eigvecs = np.linalg.eigh(a_matrix @ a_matrix.T)
     lam = spec.viscosity * eigenvalues(spec) + spec.damping
     psi1 = np.exp(-lam * (n * cfg.dt))
-    return TangentOperators(psi1, w[:, :K] - np.diag(psi1), a_matrix, gram, eigvals, eigvecs)
+    return TangentOperators(psi1, jac - np.diag(psi1), a_matrix, eigvals, eigvecs)
 
 
 def gram_limit_check(ops: TangentOperators, f: np.ndarray, gammas) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 from kickflow.basis import eigenvalues, poincare_constant
 from kickflow.dynamics import Trajectory, _factors, flow, time_one_map
 from kickflow.linearization import (
-    _propagate,
+    _sweep,
     compactness_diagnostic,
     gram_limit_check,
     linearize_kick,
@@ -125,33 +125,26 @@ class TestPropagateContract:
         states = base.states.copy()
         states[row, 3] = np.nan
         broken = Trajectory(base.times, states)
-        w0 = np.hstack([np.eye(spec.n_modes), np.zeros((spec.n_modes, 2 * spec.n_modes))])
         with pytest.raises(FloatingPointError):
-            _propagate(broken, w0, self._source(base, fast_cfg), spec, fast_cfg)
-
-    def test_fortran_ordered_start(self, base, spec, fast_cfg, rng):
-        w0 = rng.standard_normal((spec.n_modes, 3 * spec.n_modes))
-        source = self._source(base, fast_cfg)
-        got_f = _propagate(base, np.asfortranarray(w0), source, spec, fast_cfg)
-        got_c = _propagate(base, w0, source, spec, fast_cfg)
-        assert np.array_equal(got_f, got_c)
+            _sweep(broken, self._source(base, fast_cfg), spec, fast_cfg)
 
     def test_calls_do_not_share_arrays(self, base, spec, fast_cfg, noise):
-        w0 = np.hstack([np.eye(spec.n_modes), np.zeros((spec.n_modes, 2 * spec.n_modes))])
         source = self._source(base, fast_cfg)
-        first = _propagate(base, w0, source, spec, fast_cfg)
-        second = _propagate(base, w0, source, spec, fast_cfg)
-        assert not np.shares_memory(first, second)
-        assert not np.shares_memory(first, w0)
+        first = _sweep(base, source, spec, fast_cfg)
+        second = _sweep(base, source, spec, fast_cfg)
+        for a, b in zip(first, second):
+            assert not np.shares_memory(a, b)
+        assert not np.shares_memory(*first)
         one = linearize_kick(base, spec, fast_cfg, noise)
         two = linearize_kick(base, spec, fast_cfg, noise)
-        for name in ("psi1", "psi2", "a_matrix", "gram"):
+        for name in ("psi1", "psi2", "a_matrix", "gram_eigvals", "gram_eigvecs"):
             assert not np.shares_memory(getattr(one, name), getattr(two, name)), name
 
     def test_traced_peak_at_defaults(self, spec, cfg, noise):
         """One linearize_kick at K = 55, dt = 1e-3 allocates at most 4 MB at
         its peak: the 1.3 MB interaction tensor, one block of substep
-        matrices and two column stacks, not a table per substep."""
+        matrices and one block of reverse products Phi_{i+1}, not a table per
+        substep."""
         u0 = 0.3 * np.random.default_rng(5).standard_normal(spec.n_modes) / np.sqrt(spec.n_modes)
         base = flow(u0, sample_kick(noise, spec, kick_rng(5, 0, 0)), spec, cfg)
         linearize_kick(base, spec, cfg, noise)  # grid tables are cached after the first call
@@ -168,12 +161,6 @@ class TestPsiSplit:
     def test_psi1_is_stokes_semigroup(self, ops, spec):
         expected = np.exp(-spec.viscosity * eigenvalues(spec))
         assert np.abs(ops.psi1 - expected).max() < 1e-14
-
-    def test_split_reassembles_jacobian(self, base, ops, spec, fast_cfg):
-        """The kick columns of the joint solve leave the Jacobian columns alone."""
-        no_source = np.zeros((base.states.shape[0] - 1, 0))
-        jac = _propagate(base, np.eye(spec.n_modes), no_source, spec, fast_cfg)
-        assert np.abs(np.diag(ops.psi1) + ops.psi2 - jac).max() < 1e-14
 
     def test_psi1_below_contraction_threshold(self, ops, spec):
         kappa = np.exp(-spec.viscosity * poincare_constant(spec) / 2)
@@ -202,12 +189,13 @@ class TestForcingDerivative:
 
 class TestGramian:
     def test_symmetric_positive_definite(self, ops):
-        assert np.abs(ops.gram - ops.gram.T).max() < 1e-14
+        gram = ops.a_matrix @ ops.a_matrix.T
+        assert np.abs(gram - gram.T).max() < 1e-14
         assert ops.gram_eigvals.min() > 0
 
     def test_eigh_consistency(self, ops):
         recon = (ops.gram_eigvecs * ops.gram_eigvals) @ ops.gram_eigvecs.T
-        assert np.abs(recon - ops.gram).max() < 1e-12
+        assert np.abs(recon - ops.a_matrix @ ops.a_matrix.T).max() < 1e-12
 
     def test_resolvent_residual_closed_form(self, ops):
         """On an eigenvector the regularised residual is gamma/(lambda+gamma)."""
@@ -220,7 +208,7 @@ class TestGramian:
             assert r == pytest.approx(g / (lam + g), rel=1e-10)
 
     def test_residual_nonincreasing_in_gamma(self, ops, rng):
-        f = rng.standard_normal(ops.gram.shape[0])
+        f = rng.standard_normal(ops.a_matrix.shape[0])
         gammas = [1e-1 * 0.5**j for j in range(10)]
         res = gram_limit_check(ops, f, gammas)
         assert np.all(np.diff(res) <= 1e-12)

@@ -51,7 +51,8 @@ class TestRightInverse:
         ctl = ControlConfig(rank=spec.n_modes, gamma=1e-3)
         f = rng.standard_normal(spec.n_modes)
         r = right_inverse_matrix(ops, ctl, noise, spec)
-        solved = ops.a_matrix.T @ np.linalg.solve(ops.gram + ctl.gamma * np.eye(spec.n_modes), f)
+        gram = ops.a_matrix @ ops.a_matrix.T
+        solved = ops.a_matrix.T @ np.linalg.solve(gram + ctl.gamma * np.eye(spec.n_modes), f)
         keep = pm_order(noise, spec)[:ctl.rank]
         expected = np.zeros_like(solved)
         expected[keep] = solved[keep]
@@ -88,7 +89,8 @@ class TestControlDefect:
         gamma = 1e-2
         r = right_inverse_matrix(ops, ControlConfig(noise.p_order * spec.n_modes, gamma),
                                  noise, spec)
-        resolvent = np.linalg.solve(ops.gram + gamma * np.eye(spec.n_modes), ops.psi2)
+        gram = ops.a_matrix @ ops.a_matrix.T
+        resolvent = np.linalg.solve(gram + gamma * np.eye(spec.n_modes), ops.psi2)
         assert epsilon_check(ops, r) == pytest.approx(np.linalg.norm(gamma * resolvent, 2),
                                                       rel=1e-9)
 

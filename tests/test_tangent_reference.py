@@ -78,19 +78,23 @@ TENSOR_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(TENSOR_CASES))
-def test_tensor_path_matches_grid_jacobian(case, monkeypatch):
-    """T contracted with a state is -gain J(a), and the blocked substep loop
-    is decay*w - gain*J_i w plus the source, with J_i formed on the grid.
+# 1, 15, 16 and 17 substeps put a block edge of the reverse walk at every
+# place; 40 are two full blocks and a partial one
+SWEEP_CASES = [(case, n) for case in sorted(TENSOR_CASES) for n in (1, 15, 16, 17, 40)]
 
-    40 substeps cover two full blocks of base states and a partial one.
-    """
+
+@pytest.mark.parametrize("case, n", SWEEP_CASES,
+                         ids=[c if n == 40 else f"{c}-n{n}" for c, n in SWEEP_CASES])
+def test_tensor_path_matches_grid_jacobian(case, n, monkeypatch):
+    """T contracted with a state is -gain J(a), and the reverse sweep gives
+    what the forward loop w <- decay*w - gain*J_i w plus the source gives on
+    [I | 0], with J_i formed on the grid."""
     spec, factor = TENSOR_CASES[case]
-    ops = grid_operators(spec, *(factor * n for n in min_grid(spec)))
+    ops = grid_operators(spec, *(factor * m for m in min_grid(spec)))
     monkeypatch.setattr(linearization, "grid_operators", lambda spec: ops)
     cfg = SolverConfig()
     decay, gain = _factors(spec, cfg.dt)
-    K, n, P = spec.n_modes, 40, 2
+    K, P = spec.n_modes, 2
     rng = np.random.default_rng(K * factor)
     tensor = linearization._tangent_tensor(ops, eigenvalues(spec), gain)
     for a in rng.standard_normal((3, K)):
@@ -101,11 +105,11 @@ def test_tensor_path_matches_grid_jacobian(case, monkeypatch):
     states = rng.standard_normal((n + 1, K)) / np.sqrt(K)
     base = Trajectory(np.arange(n + 1) * cfg.dt, states)
     source = rng.standard_normal((n, P))
-    w0 = np.hstack([rng.standard_normal((K, K)), np.zeros((K, P * K))])
-    want = w0.copy()
+    want = np.hstack([np.eye(K), np.zeros((K, P * K))])
     for i in range(n):
         want = decay[:, None] * want - gain[:, None] * (tangent_matrix(states[i], ops) @ want)
         for p in range(P):
             want[np.arange(K), K + p * K + np.arange(K)] += gain * source[i, p]
-    got = linearization._propagate(base, w0, source, spec, cfg)
-    assert np.abs(got - want).max() <= BOUND * np.abs(want).max()
+    for got, ref in zip(linearization._sweep(base, source, spec, cfg), (want[:, :K], want[:, K:])):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= BOUND * np.abs(ref).max()
