@@ -423,7 +423,6 @@ def _run_mix(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
                 with em.timed("checkpoint"):  # rows first, see _rows_load
                     _rows_save(rows, ckpt)
                     checkpoint_save(ens_a, ens_b, ckpt)
-    em.write_csv("mix_distances.csv", "k,dist_lower,floor,tail_energy_max,mean_normH", rows)
 
     floor_est = float(np.median([r[2] for r in rows]))
     ds = np.array([r[1] for r in rows])
@@ -432,16 +431,18 @@ def _run_mix(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
         c_big, c_rate, r2 = mixing_fit(usable, ds[usable])
     except InsufficientDataError:
         c_big = c_rate = r2 = None
-    em.write_json("mix_summary.json", {
-        "c": c_rate,
-        "C": c_big,
-        "r2": r2,
-        "k_star": k_star(9.0, spec, noise),
-        "floor": floor_est,
-        "floor_nominal": mc_floor(n_particles),
-        "particles": n_particles,
-        "kicks": n_kicks,
-    })
+    with em.timed("io"):
+        em.write_csv("mix_distances.csv", "k,dist_lower,floor,tail_energy_max,mean_normH", rows)
+        em.write_json("mix_summary.json", {
+            "c": c_rate,
+            "C": c_big,
+            "r2": r2,
+            "k_star": k_star(9.0, spec, noise),
+            "floor": floor_est,
+            "floor_nominal": mc_floor(n_particles),
+            "particles": n_particles,
+            "kicks": n_kicks,
+        })
 
 
 def _split_half_floor(ens: EmpiricalEnsemble, dic) -> float:
@@ -458,23 +459,25 @@ def _run_noise_check(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
     spec, noise = ec.domain, ec.noise
     n_draws = opts["draws"]
     seed = ec.sampling_seed
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    xi = sample_xi(rng, n_draws)
-    mean = float(xi.mean())
-    var = float(xi.var())
-    se_mean = float(xi.std() / np.sqrt(n_draws))
-    m2 = xi * xi
-    se_var = float(m2.std() / np.sqrt(n_draws))
+    with em.timed("moments"):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        xi = sample_xi(rng, n_draws)
+        mean = float(xi.mean())
+        var = float(xi.var())
+        se_mean = float(xi.std() / np.sqrt(n_draws))
+        m2 = xi * xi
+        se_var = float(m2.std() / np.sqrt(n_draws))
 
     b = amplitudes(noise, spec)
-    support_ok = True
-    max_ratio = 0.0
-    for k in range(SUPPORT_DRAWS):
-        eta = sample_kick(noise, spec, kick_rng(seed, 0, k))
-        ratio = float(np.max(np.abs(eta.coeffs) / b))
-        max_ratio = max(max_ratio, ratio)
-        support_ok = support_ok and ratio <= 1.0 + 1e-12
-    e_radius, vp_sup = support_bound(noise, spec)
+    with em.timed("support"):
+        support_ok = True
+        max_ratio = 0.0
+        for k in range(SUPPORT_DRAWS):
+            eta = sample_kick(noise, spec, kick_rng(seed, 0, k))
+            ratio = float(np.max(np.abs(eta.coeffs) / b))
+            max_ratio = max(max_ratio, ratio)
+            support_ok = support_ok and ratio <= 1.0 + 1e-12
+        e_radius, vp_sup = support_bound(noise, spec)
 
     # correlation between leading P_M coordinate and leading Q_M coordinate
     order = pm_order(noise, spec)
@@ -483,30 +486,32 @@ def _run_noise_check(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
     draws_a = np.empty(CORR_DRAWS)
     draws_b = np.empty(CORR_DRAWS)
     flat_shape = b.size
-    for i in range(0, CORR_DRAWS, 10_000):
-        j = min(i + 10_000, CORR_DRAWS)
-        block_rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=seed, spawn_key=(0xCC, i))))
-        # the whole block of uniforms is drawn, which keeps the stream, but
-        # only the two columns read are mapped to xi
-        v = block_rng.random((j - i, flat_shape))[:, [a_idx, b_idx]]
-        draws_a[i:j], draws_b[i:j] = _xi_from_uniform(v).T
-    corr = float(np.corrcoef(draws_a, draws_b)[0, 1])
+    with em.timed("correlation"):
+        for i in range(0, CORR_DRAWS, 10_000):
+            j = min(i + 10_000, CORR_DRAWS)
+            block_rng = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(entropy=seed, spawn_key=(0xCC, i))))
+            # the whole block of uniforms is drawn, which keeps the stream, but
+            # only the two columns read are mapped to xi
+            v = block_rng.random((j - i, flat_shape))[:, [a_idx, b_idx]]
+            draws_a[i:j], draws_b[i:j] = _xi_from_uniform(v).T
+        corr = float(np.corrcoef(draws_a, draws_b)[0, 1])
 
-    em.write_json("noise_check.json", {
-        "xi_mean": mean,
-        "xi_mean_se": se_mean,
-        "xi_var": var,
-        "xi_var_expected": 1.0 / 7.0,
-        "xi_var_se": se_var,
-        "draws": n_draws,
-        "support_respected": bool(support_ok),
-        "support_max_ratio": max_ratio,
-        "e_radius": e_radius,
-        "vprime_sup": vp_sup,
-        "pm_qm_correlation": corr,
-        "pm_qm_corr_se": 1.0 / float(np.sqrt(CORR_DRAWS)),
-    })
+    with em.timed("io"):
+        em.write_json("noise_check.json", {
+            "xi_mean": mean,
+            "xi_mean_se": se_mean,
+            "xi_var": var,
+            "xi_var_expected": 1.0 / 7.0,
+            "xi_var_se": se_var,
+            "draws": n_draws,
+            "support_respected": bool(support_ok),
+            "support_max_ratio": max_ratio,
+            "e_radius": e_radius,
+            "vprime_sup": vp_sup,
+            "pm_qm_correlation": corr,
+            "pm_qm_corr_se": 1.0 / float(np.sqrt(CORR_DRAWS)),
+        })
 
 
 def _run_spectrum(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:

@@ -223,7 +223,8 @@ class TestManifest:
         ec = parse_config(FAST_LINES + "out_dir = " + str(tmp_path / "m"))
         run(ec, "mix", {"particles": 8, "kicks": 2, "checkpoint": str(tmp_path / "ck.txt")})
         data = json.loads((tmp_path / "m" / "manifest.json").read_text())
-        parts = [data["stages"][name] for name in ("ensemble_step", "distances", "checkpoint")]
+        parts = [data["stages"][name]
+                 for name in ("ensemble_step", "distances", "checkpoint", "io")]
         assert all(t > 0 for t in parts)
         assert sum(parts) <= data["wall_clock_s"]
 
@@ -233,6 +234,7 @@ class TestManifest:
         # the absorbed start; the tuning is timed inside couple, on its first step
         ("couple", {"steps": 1}, {"integrate", "couple", "io"},
          k_star(9.0, DomainSpec(4.0, 0.1), NoiseSpec()) + 1),
+        ("noise-check", {"draws": 1000}, {"moments", "support", "correlation", "io"}, 0),
     ])
     def test_stage_timings_and_substeps(self, tmp_path, monkeypatch, experiment, opts,
                                         stages, kicks):
@@ -245,8 +247,8 @@ class TestManifest:
         assert all(t > 0 for t in manifest.stages.values())
         assert sum(manifest.stages.values()) <= manifest.wall_clock_s
         # one linearised solve, and for couple one per coupling step
-        tangent_kicks = {"simulate": 0, "linearize": 1, "couple": 1}[experiment]
-        want = {"substeps": kicks * ec.solver.n_substeps}
+        tangent_kicks = {"simulate": 0, "linearize": 1, "couple": 1, "noise-check": 0}[experiment]
+        want = {"substeps": kicks * ec.solver.n_substeps} if kicks else {}
         if tangent_kicks:
             want["tangent_substeps"] = tangent_kicks * ec.solver.n_substeps
         assert manifest.counts == want
