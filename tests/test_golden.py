@@ -5,8 +5,9 @@ Equal bytes pass at once.  Otherwise ``compare_outputs.compare_file``
 requires equal headers, keys, row counts and integer fields, and gives the
 worst float drift (relative to the column's max-abs in a text file, to the
 value itself in a JSON file), which must be within the file's tolerance
-below.  Bytes depend on the platform (the manifest's ``provenance``), so
-the test passes on the tolerances alone.
+below.  The bytes depend on the BLAS kernels that the platform picks (the
+manifest's ``provenance`` names them), so the test passes on the
+tolerances alone.
 
 Every tolerance is at most 1e-10, so that a 1e-9 change to one entry or
 to the viscosity fails, and at least 3.3e-12, ten times the worst drift a
