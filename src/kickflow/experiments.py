@@ -28,9 +28,9 @@ from .config import ExperimentConfig, config_snapshot
 from .dynamics import SolverConfig, _stepping_threads, energy_identity_residual, flow
 from .ergodicity import (
     EmpiricalEnsemble,
+    _dual_lipschitz,
     absorbing_constants,
     default_test_dictionary,
-    dual_lipschitz_lower,
     ensemble_step,
     k_star,
     make_compact,
@@ -71,8 +71,9 @@ CORR_DRAWS = 100_000
 @dataclass
 class RunManifest:
     """Outputs, seconds per stage (``wall_clock_s`` is the whole run) and
-    work counts, such as the ``substeps`` stepped in stage ``integrate`` and
-    the ``tangent_substeps`` of the linearised solves."""
+    work counts, such as the ``substeps`` stepped in stage ``integrate``,
+    the ``tangent_substeps`` of the linearised solves and the ``bl_*`` work
+    of ``mix``'s distance searches."""
 
     config: dict
     experiment: str
@@ -409,8 +410,8 @@ def _run_mix(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
     em.stages.update(dict.fromkeys(("ensemble_step", "distances", "checkpoint"), 0.0))
     for k in range(len(rows), n_kicks + 1):
         with em.timed("distances"):
-            dist = dual_lipschitz_lower(ens_a, ens_b, dic)
-            floor_k = _split_half_floor(ens_b, dic)
+            dist = _dual_lipschitz(ens_a, ens_b, dic, em.count)
+            floor_k = _split_half_floor(ens_b, dic, em.count)
         _, tail_max = tail_energy(ens_b, lam_cut, spec)
         mean_nh = float(np.linalg.norm(ens_b.particles, axis=1).mean())
         rows.append((k, dist, floor_k, tail_max, mean_nh))
@@ -445,14 +446,14 @@ def _run_mix(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:
         })
 
 
-def _split_half_floor(ens: EmpiricalEnsemble, dic) -> float:
+def _split_half_floor(ens: EmpiricalEnsemble, dic, count) -> float:
     n = ens.n_particles
     if n < 4:
         return 0.0
     h = n // 2
     a = EmpiricalEnsemble(ens.particles[:h], np.full(h, 1.0 / h), 0, 0, np.arange(h))
     b = EmpiricalEnsemble(ens.particles[h:2 * h], np.full(h, 1.0 / h), 0, 0, np.arange(h))
-    return dual_lipschitz_lower(a, b, dic)
+    return _dual_lipschitz(a, b, dic, count)
 
 
 def _run_noise_check(ec: ExperimentConfig, opts: dict, em: _Emitter) -> None:

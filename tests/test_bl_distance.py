@@ -1,6 +1,10 @@
 """The exact 1D bounded-Lipschitz distance against an LP oracle, and its
 metric properties.
 
+The flat DP pass and the search are also held to the slow reference in
+``reference.py`` (the pass as it was before it was flattened), which they
+must match exactly: the flattening keeps every float operation in order.
+
 The oracle is the LP formulation that ``bl_distance_1d`` used to solve
 with HiGHS: maximise sum_i d_i g_i over (g, beta) with |g_i| <= beta and
 |g_{i+1} - g_i| <= (1 - beta) gap_i on the pooled sorted support.  Its
@@ -15,7 +19,9 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from kickflow import bl_distance_1d
+from kickflow.ergodicity import _bl_pass
 
 AGREEMENT = 1e-12
 HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
@@ -156,3 +162,46 @@ def test_below_wasserstein_and_total_variation(a, b):
     w1_dist, l1 = _w1_and_l1(x1, w1, x2, w2)
     got = bl_distance_1d(x1, w1, x2, w2)
     assert 0.0 <= got <= min(w1_dist, l1) + AGREEMENT
+
+
+def _dp_inputs(x1, w1, x2, w2):
+    """The per-point masses, prefix sums and gaps that the search passes to
+    ``_bl_pass``, built the same way."""
+    uz, inv = np.unique(np.concatenate([x1, x2]), return_inverse=True)
+    n1 = len(x1)
+    ud = np.bincount(inv[:n1], w1, uz.shape[0]) - np.bincount(inv[n1:], w2, uz.shape[0])
+    return ud.tolist(), np.cumsum(ud).tolist(), np.diff(uz).tolist()
+
+
+def _pass_instance(rng, pooled, kind):
+    """Two samples of about ``pooled`` points in all; ``zero-mass`` shares
+    half its support between the samples, so that d vanishes there."""
+    n1 = max(pooled // 2, 1)
+    n2 = max(pooled - n1, 1)
+    if kind == "lattice":
+        x1 = rng.integers(-40, 40, n1) * 0.25
+        x2 = rng.integers(-40, 40, n2) * 0.25 + 0.5
+    elif kind == "repeated":
+        pts = rng.standard_normal(max(pooled // 8, 1))
+        x1, x2 = rng.choice(pts, n1), rng.choice(pts, n2) + 0.1
+    else:
+        x1 = rng.standard_normal(n1)
+        x2 = rng.standard_normal(n2) + rng.uniform(-1, 1)
+    if kind == "zero-mass":
+        x2[: n2 // 2] = x1[: n2 // 2]
+        return x1, np.full(n1, 1.0 / n1), x2, np.full(n2, 1.0 / n2)
+    w1, w2 = rng.random(n1) + 1e-3, rng.random(n2) + 1e-3
+    return x1, w1 / w1.sum() * rng.uniform(0.5, 1.5), x2, w2 / w2.sum()
+
+
+@pytest.mark.parametrize("pooled", [2, 3, 64, 1024, 8192])
+@pytest.mark.parametrize("kind", ["normal", "lattice", "repeated", "zero-mass"])
+def test_flat_pass_matches_reference(pooled, kind):
+    """V(beta) and dV/dbeta are bit-identical to the reference pass at 20
+    random budget splits, and so is the distance."""
+    rng = np.random.default_rng([pooled, len(kind)])
+    x1, w1, x2, w2 = _pass_instance(rng, pooled, kind)
+    d, cum, gaps = _dp_inputs(x1, w1, x2, w2)
+    for beta in rng.random(20):
+        assert _bl_pass(beta, d, cum, gaps) == reference._bl_pass(beta, d, cum, gaps)
+    assert bl_distance_1d(x1, w1, x2, w2) == reference.bl_distance_1d(x1, w1, x2, w2)

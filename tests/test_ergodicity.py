@@ -1,14 +1,23 @@
 """Ensembles, distance certificates, fits, and absorbing-set constants."""
 
+import json
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reference
+from compare_outputs import RUNS, data_files
+from kickflow import cli, experiments
 from kickflow.basis import poincare_constant
 from kickflow.errors import InsufficientDataError
 from kickflow.ergodicity import (
     EmpiricalEnsemble,
+    TestDictionary as Dictionary,
+    _dual_lipschitz,
+    _ensemble_kicks,
     absorbing_constants,
     bl_distance_1d,
     default_test_dictionary,
@@ -29,6 +38,16 @@ def _dirac(x, spec_dim):
     p = np.zeros((1, spec_dim))
     p[0, 0] = x
     return EmpiricalEnsemble(p, np.array([1.0]), 0, 0, np.array([0]))
+
+
+def _counted(mu1, mu2, dic):
+    """``dual_lipschitz_lower`` and the work counts of its 1D searches."""
+    counts = Counter()
+
+    def count(name, n):
+        counts[name] += n
+
+    return _dual_lipschitz(mu1, mu2, dic, count), counts
 
 
 class TestEnsembleBasics:
@@ -58,6 +77,18 @@ class TestEnsembleStep:
             eta = sample_kick(noise, spec, kick_rng(ens.master_seed, int(pid), 0))
             single = time_one_map(ens.particles[i], eta, spec, fast_cfg)
             assert np.abs(stepped.particles[i] - single).max() < 1e-13
+
+    @pytest.mark.parametrize("n, kick_index", [(512, 0), (512, 3), (1, 0), (65, 3)])
+    def test_kicks_equal_sample_kick(self, spec, noise, n, kick_index):
+        """The batched draw gives every particle the kick ``sample_kick``
+        draws from its stream, bit for bit, across the 64-particle blocks."""
+        ens = make_compact(spec, 1.0, n, seed=7, id_offset=10_000_000)
+        ens.kick_index = kick_index
+        kicks = _ensemble_kicks(ens, spec, noise)
+        assert kicks.shape == (n,) + sample_kick(noise, spec, kick_rng(0, 0, 0)).coeffs.shape
+        for pid, kick in zip(ens.particle_ids, kicks):
+            eta = sample_kick(noise, spec, kick_rng(ens.master_seed, int(pid), kick_index))
+            assert np.array_equal(kick, eta.coeffs)
 
     def test_kick_index_advances(self, spec, fast_cfg, noise):
         ens = make_compact(spec, 0.5, 2, seed=7)
@@ -134,6 +165,61 @@ class TestDualLipschitzLower:
         with pytest.raises(ValueError):
             dual_lipschitz_lower(a, b, default_test_dictionary(spec))
 
+    @pytest.mark.parametrize("radius", [0.3, 1.0])
+    def test_bounded_search_matches_reference_on_random_pairs(self, spec, radius):
+        """Stopping a direction's search once it cannot win leaves the bound
+        the same float as searching every direction to convergence."""
+        rng = np.random.default_rng(int(radius * 10))
+        dic = default_test_dictionary(spec, clamp_radius=radius)
+        cut = 0
+        for trial in range(100):
+            n1, n2 = rng.integers(1, 60, 2)
+            scale = rng.uniform(0.05, 3.0)
+
+            def ensemble(n, shift):
+                pts = rng.standard_normal((n, spec.n_modes)) * scale + shift
+                w = rng.random(n) + 1e-3 if trial % 2 else np.ones(n)
+                return EmpiricalEnsemble(pts, w / w.sum(), 0, 0, np.arange(n))
+
+            a, b = ensemble(n1, 0.0), ensemble(n2, rng.uniform(-0.5, 0.5))
+            got, counts = _counted(a, b, dic)
+            assert got == reference.dual_lipschitz_lower(a, b, dic)
+            cut += counts["bl_searches_cut"]
+        assert cut > 0
+
+    @pytest.mark.parametrize("radius", [0.3, 1.0])
+    def test_bounded_search_matches_reference_on_mix_ensembles(self, spec, fast_cfg,
+                                                                 noise, radius):
+        """``mix``'s pairs: radius 1 against radius 3 at 512 particles, the
+        split halves of each, and the pair after one kick."""
+        dic = default_test_dictionary(spec, clamp_radius=radius)
+        a = make_compact(spec, 1.0, 512, seed=7)
+        b = make_compact(spec, 3.0, 512, seed=7, id_offset=10_000_000)
+        pairs = [(a, b)]
+        for ens in (a, b):
+            pairs.append(tuple(EmpiricalEnsemble(half, np.full(256, 1.0 / 256), 0, 0,
+                                                 np.arange(256))
+                               for half in (ens.particles[:256], ens.particles[256:])))
+        pairs.append((ensemble_step(a, spec, fast_cfg, noise),
+                      ensemble_step(b, spec, fast_cfg, noise)))
+        for x, y in pairs:
+            assert dual_lipschitz_lower(x, y, dic) == reference.dual_lipschitz_lower(x, y, dic)
+
+    def test_linear_value_cuts_from_the_first_direction(self, spec):
+        """When a clamped linear value is the largest, a direction whose
+        W1/TV bound is below it is stopped before any DP pass."""
+        a = make_compact(spec, 1.0, 200, seed=3)
+        moved = a.particles.copy()
+        moved[:, 0] += 0.5
+        moved[:, 1] += 1e-3
+        b = EmpiricalEnsemble(moved, a.weights, 0, 0, a.particle_ids)
+        dic = Dictionary(np.eye(spec.n_modes)[[1, 0]], 1.0)
+        got, counts = _counted(a, b, dic)
+        assert got == reference.dual_lipschitz_lower(a, b, dic)
+        assert counts["bl_searches"] == 2 and counts["bl_searches_cut"] >= 1
+        _, first = _counted(a, b, Dictionary(dic.directions[:1], 1.0))
+        assert first["bl_passes"] > 0  # the first direction alone is searched
+
     def test_dictionary_shape(self, spec):
         dic = default_test_dictionary(spec, n_random=3)
         assert dic.directions.shape == (8 + 3, spec.n_modes)
@@ -180,3 +266,36 @@ class TestConstants:
         assert mx == pytest.approx(4.0, rel=1e-12)
         with pytest.raises(ValueError):
             tail_energy(ens, 0.0, spec)
+
+
+class TestDistanceCounters:
+    """``mix`` records the work of its distance searches in its manifest."""
+
+    def _mix(self, out: Path) -> dict:
+        args = [a.format(out=out) for a in RUNS["mix"]]
+        assert cli.main(["--out", str(out)] + args) == 0
+        return json.loads((out / "manifest.json").read_text())["counts"]
+
+    def test_golden_mix_run_takes_the_bounded_path(self, tmp_path):
+        counts = self._mix(tmp_path / "mix")
+        # 4 rows, each a main distance and a split-half floor over 12 directions
+        assert counts["bl_searches"] == 4 * 2 * 12
+        assert 0 < counts["bl_searches_cut"] < counts["bl_searches"]
+        assert 0 < counts["bl_passes"] < counts["bl_points"]
+
+    @pytest.mark.parametrize("patch", ["no counters", "reference search"])
+    def test_data_files_do_not_depend_on_counting(self, tmp_path, monkeypatch, patch):
+        """The same bytes when the counters do nothing, and with the
+        reference search, which counts nothing and searches every direction."""
+        self._mix(tmp_path / "counted")
+        if patch == "no counters":
+            monkeypatch.setattr(experiments._Emitter, "count", lambda self, name, n: None)
+        else:
+            monkeypatch.setattr(experiments, "_dual_lipschitz",
+                                lambda a, b, dic, count: reference.dual_lipschitz_lower(a, b, dic))
+        assert self._mix(tmp_path / "patched") == {}
+        names = data_files(tmp_path / "counted")
+        assert names == data_files(tmp_path / "patched") and "mix_distances.csv" in names
+        for name in names:
+            assert (tmp_path / "counted" / name).read_bytes() == \
+                (tmp_path / "patched" / name).read_bytes(), name
