@@ -4,10 +4,12 @@ The stepper is an integrating-factor (exponential) Euler scheme: the
 Stokes/damping part is advanced exactly and the advection term and kick
 forcing are frozen over each substep, with forcing sampled at substep
 midpoints.  All grid work is matrix algebra against the cached basis
-transforms on the interior collocation nodes: dense products in ``flow``
-and ``nonlinearity``, whose states may be single vectors or (K, n) column
-stacks, and separable 1-D passes in ``advance_columns``, which steps wide
-stacks.
+transforms on the interior collocation nodes: dense products in
+``nonlinearity``, whose states may be single vectors or (K, n) column
+stacks; one fused dense step per substep in ``flow``, on tables of its own
+cached per (spec, dt), with its states checked for non-finite values once
+per 64 substeps but reported at the exact substep; and separable 1-D passes
+in ``advance_columns``, which steps wide stacks.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .basis import DomainSpec, eigenvalues, grid_operators, poincare_constant
 from .errors import DivergedTrajectoryError
-from .noise import KickPath, eval_kick, legendre_values
+from .noise import KickPath, legendre_values
 from . import basis
 
 __all__ = [
@@ -79,9 +81,13 @@ def _factors(spec: DomainSpec, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return decay, gain
 
 
+@lru_cache(maxsize=None)
 def _tau_mid(p_order: int, cfg: SolverConfig) -> np.ndarray:
-    """tau_p at the substep midpoints (i + 1/2) dt of a unit interval, (n_substeps, P)."""
-    return legendre_values(p_order, (np.arange(cfg.n_substeps) + 0.5) * cfg.dt)
+    """tau_p at the substep midpoints (i + 1/2) dt of a unit interval,
+    (n_substeps, P), read-only."""
+    tau = legendre_values(p_order, (np.arange(cfg.n_substeps) + 0.5) * cfg.dt)
+    tau.setflags(write=False)
+    return tau
 
 
 def _advection_work(ops, alpha: np.ndarray, shape: tuple) -> tuple[np.ndarray, ...]:
@@ -132,50 +138,111 @@ def _check_norm(u: np.ndarray, step: int, threshold: float) -> None:
         raise DivergedTrajectoryError(step, nrm)
 
 
+def _check_finite(states: np.ndarray, lo: int, hi: int) -> None:
+    """Raise ``FloatingPointError`` with the first non-finite row of
+    states[lo:hi] as ``step_index``."""
+    if not np.isfinite(states[lo:hi]).all():
+        exc = FloatingPointError("non-finite coefficients in advection input")
+        exc.step_index = lo + int(np.argmin(np.isfinite(states[lo:hi]).all(axis=1)))
+        raise exc
+
+
+@lru_cache(maxsize=None)
+def _dense_tables(spec: DomainSpec, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """``flow``'s tables: syn2 transposed in C order, (K, 2 * npts), and
+    -gain * ana1, (K, npts), read-only."""
+    ops = grid_operators(spec)
+    syn2t = ops.syn2.T.copy()
+    ana1g = -_factors(spec, dt)[1][:, None] * ops.ana1
+    syn2t.setflags(write=False)
+    ana1g.setflags(write=False)
+    return syn2t, ana1g
+
+
+# ``flow`` checks its states for non-finite values once per this many substeps
+_CHECK_EVERY = 64
+
+
 def flow(u0: np.ndarray, eta, spec: DomainSpec, cfg: SolverConfig,
          n_units: int = 1) -> Trajectory:
     """Integrate over [0, n_units], one kick path per unit interval.
 
-    Substep i writes decay * u + gain * (f_mid - B(u)) of u = states[i]
-    into states[i + 1], in work arrays allocated once per call; f_mid is
-    the kick at the substep's midpoint.  Only the states are recorded:
-    ``energy_identity_residual`` forms the energy log from them.  A
-    non-finite u raises ``FloatingPointError`` with ``step_index`` i; a
-    norm above ``cfg.blowup_threshold``, checked on every 64th u and on
-    the endpoint, raises ``DivergedTrajectoryError``.
+    Substep i writes decay * u + gain * f_mid - gain * B(u) of u = states[i]
+    into states[i + 1]; f_mid is the kick at the substep's midpoint, and
+    gain * f_mid is formed once per unit interval.  Only the states are
+    recorded: ``energy_identity_residual`` forms the energy log from them.
+
+    Each substep is one fused dense step on the (2, K) row [alpha * u; u]:
+    one product with syn2 transposed gives the four grid fields (see
+    ``GridOperators``), one multiply and one subtract the cross term
+    u . grad omega, and one product with -gain * ana1 the advection term.
+    The states are checked for non-finite values on every 64th substep, as
+    one block of the rows recorded since the last check, and when numpy
+    raises ``FloatingPointError`` under ``np.errstate``.  Either way the
+    error's ``step_index`` is exactly that of a check on every substep: the
+    first non-finite row i raises ``FloatingPointError`` with index i, and
+    an error of numpy's in substep i with index i.  A norm above
+    ``cfg.blowup_threshold``, checked on every 64th u (after its substep)
+    and on the endpoint, raises ``DivergedTrajectoryError``; a non-finite
+    endpoint raises only that.
     """
     u0 = basis._check_dim(u0, spec)
-    ops = grid_operators(spec)
+    K = u0.shape[0]
+    syn2t, ana1g = _dense_tables(spec, cfg.dt)
     decay, gain = _factors(spec, cfg.dt)
+    alpha = eigenvalues(spec)
     n = cfg.n_substeps
     total = n_units * n
     kicks = [] if eta is None else ([eta] if isinstance(eta, KickPath) else list(eta))
     if eta is not None and len(kicks) != n_units:
         raise ValueError(f"got {len(kicks)} kicks for a horizon of {n_units} units")
-    if kicks:
-        tau = _tau_mid(kicks[0].coeffs.shape[0], cfg)
-        f_mid = np.concatenate([tau @ k.coeffs for k in kicks])
-    else:
-        f_mid = np.zeros((total, u0.shape[0]))
+    tau = _tau_mid(kicks[0].coeffs.shape[0], cfg) if kicks else None
 
-    states = np.empty((total + 1, u0.shape[0]))
+    states = np.empty((total + 1, K))
     states[0] = u0
-    work = _advection_work(ops, eigenvalues(spec), u0.shape)
-    for i in range(total):
-        u, nxt = states[i], states[i + 1]
-        try:
-            adv = _advection(u, ops, work)
-            # nxt = decay * u + gain * (f_mid - adv)
-            np.subtract(f_mid[i], adv, out=adv)
-            np.multiply(gain, adv, out=adv)
-            np.multiply(decay, u, out=nxt)
-            np.add(nxt, adv, out=nxt)
-        except FloatingPointError as exc:
-            exc.step_index = i
-            raise
-        if i % 64 == 0:
-            _check_norm(u, i, cfg.blowup_threshold)
-    _check_norm(states[total], total, cfg.blowup_threshold)
+    gf = np.zeros((n, K))  # gain * f_mid over one unit interval
+    npts = syn2t.shape[1] // 2
+    row = np.empty((2, K))  # [alpha * u; u]
+    ua, u = row
+    grid = np.empty((2, 2 * npts))  # fields of alpha * u, then of u: (u1, u2) each
+    gu, ga_swapped = grid[1].reshape(2, npts), grid[0].reshape(2, npts)[::-1]
+    prod = np.empty((2, npts))  # u1(u) u2(alpha u), u2(u) u1(alpha u)
+    p0, p1 = prod
+    cross = np.empty(npts)
+    adv = np.empty(K)
+    u[...] = u0
+    np.multiply(alpha, u, out=ua)
+    thr = cfg.blowup_threshold
+    dot, multiply, subtract, add = np.dot, np.multiply, np.subtract, np.add
+    for unit in range(n_units):
+        if kicks:
+            np.matmul(tau, kicks[unit].coeffs, out=gf)
+            multiply(gf, gain, out=gf)
+        start = unit * n
+        for i, nxt, g in zip(range(start, start + n), states[start + 1:], gf):
+            if i % _CHECK_EVERY == 0:
+                _check_finite(states, max(i - _CHECK_EVERY + 1, 0), i + 1)
+            try:
+                dot(row, syn2t, out=grid)
+                # u . grad omega = u2(u) u1(alpha u) - u1(u) u2(alpha u)
+                multiply(gu, ga_swapped, out=prod)
+                subtract(p1, p0, out=cross)
+                dot(ana1g, cross, out=adv)
+                multiply(decay, u, out=nxt)
+                add(nxt, g, out=nxt)
+                add(nxt, adv, out=nxt)
+                multiply(alpha, nxt, out=ua)
+                u[...] = nxt
+            except FloatingPointError as exc:
+                # a non-finite row since the last check ranks first
+                _check_finite(states, i - i % _CHECK_EVERY + 1, i + 1)
+                exc.step_index = i
+                raise
+            if i % _CHECK_EVERY == 0:
+                _check_norm(states[i], i, thr)
+    last = (total - 1) - (total - 1) % _CHECK_EVERY
+    _check_finite(states, last + 1, total)
+    _check_norm(states[total], total, thr)
 
     return Trajectory(np.arange(total + 1) * cfg.dt, states, kicks)
 
@@ -185,6 +252,14 @@ def time_one_map(u0: np.ndarray, eta, spec: DomainSpec, cfg: SolverConfig) -> np
     return flow(u0, eta, spec, cfg, n_units=1).endpoint
 
 
+@lru_cache(maxsize=8)
+def _node_tau(p_order: int, nodes: bytes) -> np.ndarray:
+    """tau_p at the float64 nodes packed in ``nodes``, (n_nodes, P), read-only."""
+    tau = legendre_values(p_order, np.frombuffer(nodes))
+    tau.setflags(write=False)
+    return tau
+
+
 def energy_identity_residual(traj: Trajectory, spec: DomainSpec) -> float:
     """Max defect of the discrete exponential energy balance along a trajectory.
 
@@ -192,20 +267,28 @@ def energy_identity_residual(traj: Trajectory, spec: DomainSpec) -> float:
     e^{nu*lam1*(t-s)} (<eta, u> - nu[u]^2 - a||u||^2) taken by the
     trapezoid rule on the energy log of the recorded states.  The kick at
     a node is that of the unit interval starting there, and the last
-    node's that of the last kick at t = 1.
+    node's that of the last kick at t = 1.  The products run in one work
+    array the size of the states, and tau_p at the nodes of a unit
+    interval is cached.
     """
     nu = spec.viscosity
     lam1 = poincare_constant(spec)
     t, states = traj.times, traj.states
-    sq = states * states
-    norm_h_sq = sq.sum(axis=1)
-    bracket_sq = (sq * (eigenvalues(spec) - 0.5 * lam1)[None, :]).sum(axis=1)
+    work = np.multiply(states, states)
+    norm_h_sq = work.sum(axis=1)
+    np.multiply(work, eigenvalues(spec) - 0.5 * lam1, out=work)
+    bracket_sq = work.sum(axis=1)
     forcing_inner = 0.0
     if traj.forcing:
         n = (len(t) - 1) // len(traj.forcing)
-        vals = [eval_kick(k, t[:n + 1]) for k in traj.forcing]
-        f_node = np.concatenate([v[:n] for v in vals[:-1]] + vals[-1:], axis=0)
-        forcing_inner = (f_node * states).sum(axis=1)
+        if len(t) != len(traj.forcing) * n + 1:
+            raise ValueError(f"{len(t)} nodes do not split into {len(traj.forcing)} kicks")
+        tau = _node_tau(traj.forcing[0].coeffs.shape[0], t[:n + 1].tobytes())
+        # kick j fills nodes j*n .. (j+1)*n; the next kick overwrites the last
+        for j, k in enumerate(traj.forcing):
+            np.matmul(tau, k.coeffs, out=work[j * n:(j + 1) * n + 1])
+        np.multiply(work, states, out=work)
+        forcing_inner = work.sum(axis=1)
     h = forcing_inner - nu * bracket_sq - spec.damping * norm_h_sq
     # cumulative trapezoid of e^{nu lam1 s} h(s)
     g = np.exp(nu * lam1 * t) * h

@@ -578,8 +578,9 @@ def run(ec: ExperimentConfig, experiment: str, opts: dict | None = None) -> RunM
 def _ensemble_lines(ens: EmpiricalEnsemble) -> list[str]:
     lines = [f"ENSEMBLE,seed={ens.master_seed},kick_index={ens.kick_index},"
              f"particles={ens.n_particles}"]
-    for pid, row, w in zip(ens.particle_ids, ens.particles, ens.weights):
-        lines.append(f"{int(pid)},{float(w)!r}," + ",".join(repr(float(c)) for c in row))
+    for pid, w, row in zip(ens.particle_ids.tolist(), ens.weights.tolist(),
+                           ens.particles.tolist()):
+        lines.append(f"{pid},{w!r}," + ",".join(map(repr, row)))
     return lines
 
 

@@ -13,6 +13,12 @@ forms Q(a, .) as one K x K matrix on the grid, from the four grid fields of
 a, the way the tangent propagator formed it for every substep before it
 contracted one interaction tensor with the base state.
 
+``reference_flow`` steps one state substep by substep with the public
+``nonlinearity``, checking every state, the way ``flow`` stepped before its
+substep was fused.  ``energy_identity_residual`` is the energy balance as
+it was computed before it ran in one work array with a cached node table;
+the arithmetic is the same, so the library must return the same float.
+
 ``_bl_pass``, ``bl_distance_1d`` and ``dual_lipschitz_lower`` are the
 one-dimensional bounded-Lipschitz distance and the dual-Lipschitz lower
 bound as the library computed them before its DP pass was flattened into
@@ -25,7 +31,9 @@ from collections import deque
 
 import numpy as np
 
-from kickflow.basis import grid_operators, mode_table
+from kickflow.basis import eigenvalues, grid_operators, mode_table, poincare_constant
+from kickflow.dynamics import nonlinearity
+from kickflow.noise import eval_kick
 
 
 def velocity_form_operators(spec, nx: int, nyq: int):
@@ -116,6 +124,46 @@ def tangent_matrix(a, ops):
     af = ops.syn2 @ np.stack([a, alpha * a], axis=1)
     af = af.reshape(2, ops.n_points, 2).transpose(1, 0, 2).reshape(-1, 1, 4)
     return ops.ana1 @ (af @ syn)[:, 0]
+
+
+def reference_flow(u0, kicks, spec, cfg):
+    """(n_units * n_substeps + 1, K) states of the exponential Euler stepper:
+    u <- decay * u + gain * (f(t_mid) - B(u)), one kick path per unit."""
+    lam = spec.viscosity * eigenvalues(spec) + spec.damping
+    decay = np.exp(-lam * cfg.dt)
+    gain = (1.0 - decay) / lam
+    n = cfg.n_substeps
+    mids = (np.arange(n) + 0.5) * cfg.dt
+    states = [np.asarray(u0, dtype=float)]
+    for eta in kicks:
+        for f in eval_kick(eta, mids):
+            u = states[-1]
+            if not np.isfinite(u).all():
+                raise FloatingPointError(f"non-finite state {len(states) - 1}")
+            states.append(decay * u + gain * (f - nonlinearity(u, spec)))
+    return np.array(states)
+
+
+def energy_identity_residual(traj, spec) -> float:
+    """``kickflow.energy_identity_residual`` with a fresh array per product
+    and the node values of each kick from ``eval_kick``."""
+    nu = spec.viscosity
+    lam1 = poincare_constant(spec)
+    t, states = traj.times, traj.states
+    sq = states * states
+    norm_h_sq = sq.sum(axis=1)
+    bracket_sq = (sq * (eigenvalues(spec) - 0.5 * lam1)[None, :]).sum(axis=1)
+    forcing_inner = 0.0
+    if traj.forcing:
+        n = (len(t) - 1) // len(traj.forcing)
+        vals = [eval_kick(k, t[:n + 1]) for k in traj.forcing]
+        f_node = np.concatenate([v[:n] for v in vals[:-1]] + vals[-1:], axis=0)
+        forcing_inner = (f_node * states).sum(axis=1)
+    h = forcing_inner - nu * bracket_sq - spec.damping * norm_h_sq
+    g = np.exp(nu * lam1 * t) * h
+    integral = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(t))))
+    rhs = np.exp(-nu * lam1 * t) * (norm_h_sq[0] + 2.0 * integral)
+    return float(np.abs(norm_h_sq - rhs).max())
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,16 @@
 import os
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from kickflow import DivergedTrajectoryError, DomainSpec, SolverConfig, dynamics
+from kickflow import DivergedTrajectoryError, DomainSpec, NoiseSpec, SolverConfig, dynamics
 from kickflow._blas import blas_threads
 from kickflow.basis import eigenvalues, poincare_constant
 from kickflow.dynamics import (
+    Trajectory,
     _advance_stack,
     advance_columns,
     energy_identity_residual,
@@ -19,6 +21,7 @@ from kickflow.dynamics import (
     time_one_map,
 )
 from kickflow.noise import KickPath, amplitudes, kick_rng, sample_kick, sample_xi
+from reference import energy_identity_residual as reference_residual, reference_flow
 
 
 class TestSolverConfig:
@@ -127,11 +130,14 @@ class TestFlow:
         assert err.value.step_index == 0
 
     def test_non_finite_kick_raises_at_substep_one(self, spec, fast_cfg, noise):
-        """Substep 0 makes a NaN state from a finite one; substep 1 finds it."""
+        """Substep 0 makes a NaN state from a finite one; substep 1 finds it,
+        and the NaN states stepped before the check warn of nothing."""
         eta = sample_kick(noise, spec, kick_rng(0, 0, 0))
         eta.coeffs[1, 7] = np.nan
-        with pytest.raises(FloatingPointError) as err:
-            flow(np.zeros(spec.n_modes), eta, spec, fast_cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError) as err:
+                flow(np.zeros(spec.n_modes), eta, spec, fast_cfg)
         assert err.value.step_index == 1
 
     def test_calls_do_not_share_arrays(self, spec, fast_cfg, noise):
@@ -372,3 +378,105 @@ class TestSplitStack:
                 advance_columns(states, None, spec, cfg)
         assert err.value.step_index == 0
         assert len(started) == 1
+
+
+def _poisoned_tau(monkeypatch, cfg, row):
+    """Make ``flow``'s midpoint table NaN in one row: the first non-finite
+    state is then states[row + 1]."""
+    tau = dynamics._tau_mid(NoiseSpec().p_order, cfg).copy()
+    tau[row] = np.nan
+    monkeypatch.setattr(dynamics, "_tau_mid", lambda p_order, cfg: tau)
+
+
+class TestFusedStep:
+    """``flow``'s fused substep against the slow stepper on the public
+    ``nonlinearity``, and its finiteness check once per 64 substeps."""
+
+    @pytest.fixture
+    def u0(self, spec):
+        u = np.random.default_rng(21).standard_normal(spec.n_modes)
+        return 2.0 * u / np.linalg.norm(u)
+
+    @pytest.mark.parametrize("n_units", [1, 3])
+    def test_matches_reference_stepper(self, spec, cfg, noise, u0, n_units):
+        kicks = [sample_kick(noise, spec, kick_rng(4, 0, k)) for k in range(n_units)]
+        traj = flow(u0, kicks, spec, cfg, n_units=n_units)
+        want = reference_flow(u0, kicks, spec, cfg)
+        assert traj.states.flags.c_contiguous
+        assert traj.states.shape == want.shape
+        assert np.abs(traj.states - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("first", [1, 63, 64, 65, 999])
+    def test_step_index_is_the_first_non_finite_state(self, spec, cfg, noise, monkeypatch,
+                                                       first):
+        _poisoned_tau(monkeypatch, cfg, first - 1)
+        eta = sample_kick(noise, spec, kick_rng(0, 0, 0))
+        with pytest.raises(FloatingPointError) as err:
+            flow(np.zeros(spec.n_modes), eta, spec, cfg)
+        assert err.value.step_index == first
+
+    def test_step_index_in_a_later_unit(self, spec, cfg, noise):
+        kicks = [sample_kick(noise, spec, kick_rng(0, 0, k)) for k in range(2)]
+        kicks[1].coeffs[0, 3] = np.nan
+        with pytest.raises(FloatingPointError) as err:
+            flow(np.zeros(spec.n_modes), kicks, spec, cfg, n_units=2)
+        assert err.value.step_index == cfg.n_substeps + 1
+
+    def test_non_finite_endpoint_alone_diverges(self, spec, cfg, noise, monkeypatch):
+        _poisoned_tau(monkeypatch, cfg, cfg.n_substeps - 1)
+        eta = sample_kick(noise, spec, kick_rng(0, 0, 0))
+        with pytest.raises(DivergedTrajectoryError) as err:
+            flow(np.zeros(spec.n_modes), eta, spec, cfg)
+        assert err.value.step_index == cfg.n_substeps
+        assert np.isnan(err.value.norm)
+
+    def test_norm_check_ranks_before_a_later_non_finite_state(self, spec, noise, monkeypatch):
+        cfg = SolverConfig(blowup_threshold=1e-3)
+        _poisoned_tau(monkeypatch, cfg, 4)
+        eta = sample_kick(noise, spec, kick_rng(0, 0, 0))
+        with pytest.raises(DivergedTrajectoryError) as err:
+            flow(np.full(spec.n_modes, 0.1), eta, spec, cfg)
+        assert err.value.step_index == 0
+
+    def test_non_finite_state_ranks_before_numpy_error_in_its_substep(self, spec, cfg,
+                                                                      noise):
+        """An infinite kick makes states[1] infinite without a floating-point
+        error; substep 1 then raises ``invalid`` under ``errstate``, which is
+        reported as the non-finite state, as a check on every substep would."""
+        eta = sample_kick(noise, spec, kick_rng(0, 0, 0))
+        eta.coeffs[0, 3] = np.inf
+        with np.errstate(invalid="raise"):
+            with pytest.raises(FloatingPointError, match="non-finite") as err:
+                flow(np.zeros(spec.n_modes), eta, spec, cfg)
+        assert err.value.step_index == 1
+
+    def test_numpy_error_keeps_its_substep(self, spec):
+        cfg = SolverConfig(dt=0.01, blowup_threshold=1e300)
+        u0 = np.zeros(spec.n_modes)
+        u0[1] = 1e160  # the cross term of substep 0 overflows
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow") as err:
+                flow(u0, None, spec, cfg)
+        assert err.value.step_index == 0
+
+    def test_midpoint_table_is_cached_read_only(self, cfg):
+        tau = dynamics._tau_mid(2, cfg)
+        assert dynamics._tau_mid(2, cfg) is tau
+        assert not tau.flags.writeable
+
+    def test_energy_residual_rejects_nodes_that_do_not_split_into_kicks(self, spec, cfg,
+                                                                       noise):
+        kicks = [sample_kick(noise, spec, kick_rng(6, 0, k)) for k in range(2)]
+        traj = flow(np.zeros(spec.n_modes), kicks, spec, cfg, n_units=2)
+        short = Trajectory(traj.times[:-1], traj.states[:-1], kicks)
+        with pytest.raises(ValueError):
+            energy_identity_residual(short, spec)
+
+    @pytest.mark.parametrize("n_units", [1, 2])
+    def test_energy_residual_equals_the_previous_computation(self, spec, cfg, noise, u0,
+                                                             n_units):
+        kicks = [sample_kick(noise, spec, kick_rng(6, 0, k)) for k in range(n_units)]
+        traj = flow(u0, kicks, spec, cfg, n_units=n_units)
+        assert energy_identity_residual(traj, spec) == reference_residual(traj, spec)
+        unforced = flow(u0, None, spec, cfg)
+        assert energy_identity_residual(unforced, spec) == reference_residual(unforced, spec)

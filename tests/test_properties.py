@@ -13,7 +13,7 @@ from kickflow import DomainSpec, KickPath
 from kickflow.basis import load_field, norms, save_field
 from kickflow.dynamics import nonlinearity
 from kickflow.ergodicity import EmpiricalEnsemble
-from kickflow.experiments import checkpoint_load, checkpoint_save
+from kickflow.experiments import _ensemble_lines, checkpoint_load, checkpoint_save
 from kickflow.noise import load_kick, save_kick
 from reference import bilinear_q
 
@@ -120,3 +120,13 @@ def test_checkpoint_round_trip(a, b):
         assert got.weights.tobytes() == want.weights.tobytes()
         assert np.array_equal(got.particle_ids, want.particle_ids)
         assert (got.kick_index, got.master_seed) == (want.kick_index, want.master_seed)
+
+
+@settings(max_examples=50, deadline=None)
+@given(ensembles())
+def test_checkpoint_rows_as_formatted_per_element(ens):
+    """The rows, formatted through ``tolist``, are those of ``repr`` on each
+    element, so checkpoints and their hashes stay byte-identical."""
+    rows = [f"{int(pid)},{float(w)!r}," + ",".join(repr(float(c)) for c in row)
+            for pid, row, w in zip(ens.particle_ids, ens.particles, ens.weights)]
+    assert _ensemble_lines(ens)[1:] == rows
